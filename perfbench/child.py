@@ -149,7 +149,7 @@ def main():
         import tracer
 
         rec = tracer.Recorder()
-        result["wrapped"], result["unwrapped"] = tracer.install(pdmp_ergo, rec)
+        result["unwrapped"] = tracer.install(pdmp_ergo, rec)
     from pdmp_ergo.config import parse_config
 
     needed = 0.0

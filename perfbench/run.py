@@ -43,7 +43,7 @@ ROOT = HERE.parent
 OUT = ROOT / ".perfbench_out"
 
 # Each workload names its operations (experiment, model) in run order.
-# Sizes at the default config on a 2-core shared sandbox (cProfile, only to
+# Sizes at the default config on a 2-vCPU shared Xeon VM (cProfile, only to
 # size the work): nested_mc ~14 s, chain_pipeline ~9.5 s, twisted_chart ~14 s.
 WORKLOADS = {
     # Nested Monte Carlo: ~95 % of the time is core.simulate_ensemble on
@@ -336,8 +336,8 @@ def run(workload, seed, seconds, trace):
     print(f"workload {workload}  seed {seed}  passes {len(passes)}  "
           f"fail_ratio {failed}/{attempted}  correct {correct}")
     for name, s in summary.items():
-        print(f"  {name:12s} metric {e2e[name]:.6g}  pass median {s['median']:.6g}"
-              f"  q1 {s['q1']:.6g}  q3 {s['q3']:.6g}  n {s['n']}")
+        print(f"  {name} = {e2e[name]:.9g} {END_TO_END[name]}  (samples: median {s['median']:.6g}"
+              f"  q1 {s['q1']:.6g}  q3 {s['q3']:.6g}  n {s['n']})")
     env = record["env"]
     print(f"  env: nproc {env['nproc']}  loadavg {env['loadavg_start']} -> {env['loadavg_end']}"
           f"  {' '.join(f'{k} {v}' for k, v in env['versions'].items())}"

@@ -304,9 +304,9 @@ def _wrap_factory(factory, name, rec):
 def install(package, rec: Recorder):
     """Wrap the package's layer boundaries.
 
-    Returns the wrapped names and the listed names the package no longer
-    has; a missing name leaves its time with the enclosing layer instead of
-    stopping the traced run.
+    Returns the listed names the package no longer has; a missing name
+    leaves its time with the enclosing layer instead of stopping the traced
+    run.
     """
     import importlib
 
@@ -314,7 +314,7 @@ def install(package, rec: Recorder):
              "experiments", "config", "cli")
     mods = {n: importlib.import_module(f"{package.__name__}.{n}") for n in names}
     namespaces = [package] + list(mods.values())
-    wrapped, missing = [], []
+    missing = []
 
     certs = mods["certificates"]
     table = {m: dict(fns) for m, fns in FUNCTION_LAYERS.items()}
@@ -329,7 +329,6 @@ def install(package, rec: Recorder):
                 missing.append(name)
                 continue
             _rebind(namespaces, original, wrap(original, name, layer, rec))
-            wrapped.append(name)
 
     for (mod_name, cls_name), (layer, methods) in METHOD_LAYERS.items():
         cls = getattr(mods[mod_name], cls_name, None)
@@ -339,12 +338,10 @@ def install(package, rec: Recorder):
                 missing.append(name)
                 continue
             setattr(cls, meth, wrap(getattr(cls, meth), name, layer, rec))
-            wrapped.append(name)
 
     models = mods["models"]
     for fn_name in models.__all__:
         if fn_name.startswith("make_"):
             original = getattr(models, fn_name)
             _rebind(namespaces, original, _wrap_factory(original, f"models.{fn_name}", rec))
-            wrapped.append(f"models.{fn_name}")
-    return wrapped, missing
+    return missing
