@@ -14,7 +14,8 @@ import argparse
 import os
 import sys
 
-from .config import EXPERIMENTS, ConfigError, parse_config, with_overrides
+from .config import (EXPERIMENTS, ConfigError, number_parser, parse_config,
+                     with_overrides)
 from .experiments import run_experiment
 
 
@@ -35,15 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _env_workers() -> int | None:
     raw = os.environ.get("PDMP_ERGO_WORKERS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"PDMP_ERGO_WORKERS must be an integer, got {raw!r}")
-    if value <= 0:
-        raise ConfigError("PDMP_ERGO_WORKERS must be positive")
-    return value
+    return None if raw is None else number_parser("PDMP_ERGO_WORKERS", int, "be positive")(raw)
 
 
 def main(argv=None) -> int:

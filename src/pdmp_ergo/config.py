@@ -8,13 +8,16 @@ original config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
+
+from .registry import REGISTRY
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "parse_config_text", "serialize"]
 
 EXPERIMENTS = ("simulate", "certify", "verify", "inequality")
-MODELS = ("tcp_constant", "tcp_linear", "tcp_increasing", "storage", "twisted_tcp_linear")
+MODELS = tuple(REGISTRY)
 DEFAULT_FUNCTIONS = ("x", "x^2", "exp(-x)", "sin(x)", "sin(3x)", "log1p(x)", "x*exp(-x)")
 
 
@@ -43,6 +46,16 @@ class RunConfig:
     workers: int = 1
     out_dir: str = "runs"
 
+    def __post_init__(self):
+        record = REGISTRY.get(self.model)
+        if record is None:
+            raise ConfigError(f"unknown model {self.model!r}")
+        if not record.supports(self.experiment):
+            supported = [e for e in EXPERIMENTS if record.supports(e)]
+            raise ConfigError(
+                f"model {self.model} has no {self.experiment} experiment; "
+                f"it supports {', '.join(supported)}")
+
     def kappa_value(self) -> float:
         """Log-rate Lipschitz constant; for the affine rate family the slope
         over the floor unless set explicitly."""
@@ -51,51 +64,28 @@ class RunConfig:
         return self.rate_slope / self.lambda_star
 
 
-# key name in the file -> (attribute, parser, validator, description)
-def _pos_int(key):
+_RULES = {
+    "be positive": lambda v: v > 0,
+    "be nonnegative": lambda v: v >= 0,
+    "lie in [0,1)": lambda v: 0.0 <= v < 1.0,
+}
+
+
+def number_parser(key, kind, rule):
+    """Parser of one finite ``kind`` (int or float) token obeying ``rule``."""
+    noun = "an integer" if kind is int else "a number"
+
     def parse(tok):
         try:
-            v = int(tok)
+            v = kind(tok)
         except ValueError:
-            raise ConfigError(f"{key} must be an integer")
-        if v <= 0:
-            raise ConfigError(f"{key} must be positive")
+            raise ConfigError(f"{key} must be {noun}") from None
+        if kind is float and not math.isfinite(v):
+            raise ConfigError(f"{key} must be finite")
+        if not _RULES[rule](v):
+            raise ConfigError(f"{key} must {rule}")
         return v
     return parse
-
-
-def _nonneg_int(key):
-    def parse(tok):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer")
-        if v < 0:
-            raise ConfigError(f"{key} must be nonnegative")
-        return v
-    return parse
-
-
-def _pos_float(key):
-    def parse(tok):
-        try:
-            v = float(tok)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number")
-        if not v > 0:
-            raise ConfigError(f"{key} must be positive")
-        return v
-    return parse
-
-
-def _delta(tok):
-    try:
-        v = float(tok)
-    except ValueError:
-        raise ConfigError("delta must be a number")
-    if not 0.0 <= v < 1.0:
-        raise ConfigError("delta must lie in [0,1)")
-    return v
 
 
 def _choice(key, choices):
@@ -113,6 +103,8 @@ def _time_grid(tok):
         raise ConfigError("time_grid must be a comma-separated list of numbers")
     if len(grid) < 1:
         raise ConfigError("time_grid must be nonempty")
+    if not all(map(math.isfinite, grid)):
+        raise ConfigError("time_grid must be finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("time_grid must be strictly increasing")
     if grid[0] < 0:
@@ -131,44 +123,24 @@ def _functions(tok):
     return labels
 
 
-def _seed(tok):
-    try:
-        v = int(tok)
-    except ValueError:
-        raise ConfigError("seed must be an integer")
-    if v < 0:
-        raise ConfigError("seed must be nonnegative")
-    return v
-
-
-def _kappa(tok):
-    try:
-        v = float(tok)
-    except ValueError:
-        raise ConfigError("kappa must be a number")
-    if v < 0:
-        raise ConfigError("kappa must be nonnegative")
-    return v
-
-
 _KEYS = {
     "experiment": ("experiment", _choice("experiment", EXPERIMENTS)),
     "model": ("model", _choice("model", MODELS)),
-    "lambda": ("rate", _pos_float("lambda")),
-    "delta": ("delta", _delta),
-    "lambda_star": ("lambda_star", _pos_float("lambda_star")),
-    "rate_slope": ("rate_slope", _pos_float("rate_slope")),
-    "kappa": ("kappa", _kappa),
-    "u_scale": ("u_scale", _pos_float("u_scale")),
-    "seed": ("seed", _seed),
-    "n_outer": ("n_outer", _pos_int("n_outer")),
-    "n_inner": ("n_inner", _pos_int("n_inner")),
-    "chain_length": ("chain_length", _pos_int("chain_length")),
-    "burn_in": ("burn_in", _nonneg_int("burn_in")),
-    "thinning": ("thinning", _pos_int("thinning")),
+    "lambda": ("rate", number_parser("lambda", float, "be positive")),
+    "delta": ("delta", number_parser("delta", float, "lie in [0,1)")),
+    "lambda_star": ("lambda_star", number_parser("lambda_star", float, "be positive")),
+    "rate_slope": ("rate_slope", number_parser("rate_slope", float, "be positive")),
+    "kappa": ("kappa", number_parser("kappa", float, "be nonnegative")),
+    "u_scale": ("u_scale", number_parser("u_scale", float, "be positive")),
+    "seed": ("seed", number_parser("seed", int, "be nonnegative")),
+    "n_outer": ("n_outer", number_parser("n_outer", int, "be positive")),
+    "n_inner": ("n_inner", number_parser("n_inner", int, "be positive")),
+    "chain_length": ("chain_length", number_parser("chain_length", int, "be positive")),
+    "burn_in": ("burn_in", number_parser("burn_in", int, "be nonnegative")),
+    "thinning": ("thinning", number_parser("thinning", int, "be positive")),
     "time_grid": ("time_grid", _time_grid),
     "functions": ("functions", _functions),
-    "workers": ("workers", _pos_int("workers")),
+    "workers": ("workers", number_parser("workers", int, "be positive")),
     "out_dir": ("out_dir", lambda tok: tok),
 }
 
@@ -193,7 +165,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
             raise ConfigError(f"{origin}:{lineno}: {exc}") from None
     if "model" not in values:
         raise ConfigError(f"{origin}: missing required key 'model'")
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{origin}: {exc}") from None
 
 
 def parse_config(path) -> RunConfig:
@@ -205,32 +180,17 @@ def parse_config(path) -> RunConfig:
     return parse_config_text(text, origin=str(path))
 
 
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(_text, value))
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
 def serialize(config: RunConfig) -> str:
-    """Canonical text form; reparsing gives back an equal config."""
-    lines = [
-        f"experiment = {config.experiment}",
-        f"model = {config.model}",
-        f"lambda = {config.rate:.17g}",
-        f"delta = {config.delta:.17g}",
-        f"lambda_star = {config.lambda_star:.17g}",
-        f"rate_slope = {config.rate_slope:.17g}",
-    ]
-    if config.kappa is not None:
-        lines.append(f"kappa = {config.kappa:.17g}")
-    lines += [
-        f"u_scale = {config.u_scale:.17g}",
-        f"seed = {config.seed}",
-        f"n_outer = {config.n_outer}",
-        f"n_inner = {config.n_inner}",
-        f"chain_length = {config.chain_length}",
-        f"burn_in = {config.burn_in}",
-        f"thinning = {config.thinning}",
-        "time_grid = " + ",".join(f"{t:.17g}" for t in config.time_grid),
-        "functions = " + ",".join(config.functions),
-        f"workers = {config.workers}",
-        f"out_dir = {config.out_dir}",
-    ]
-    return "\n".join(lines) + "\n"
+    """Canonical text form, one line per set key in parser order; reparsing
+    gives back an equal config."""
+    return "".join(f"{key} = {_text(getattr(config, attr))}\n"
+                   for key, (attr, _) in _KEYS.items() if getattr(config, attr) is not None)
 
 
 def with_overrides(config: RunConfig, **kwargs) -> RunConfig:

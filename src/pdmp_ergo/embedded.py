@@ -31,9 +31,9 @@ __all__ = [
     "chain_invariant_sample",
     "normaliser_estimate",
     "reconstruct_mu",
+    "reweight_and_push",
     "h_function",
     "time_average_states",
-    "time_average_measure",
 ]
 
 _WEIGHT_TOL = 1e-12
@@ -264,6 +264,15 @@ def normaliser_estimate(model: Model, chain_measure: EmpiricalMeasure,
     return Estimate(value, float(boots.std(ddof=1)))
 
 
+def reweight_and_push(model: Model, xs, stream: RandomStream):
+    """Mean residual normaliser of each chain atom, and the atom pushed
+    through the length-biased kernel."""
+    hv = _h_values(model, xs)
+    if np.any(~np.isfinite(hv)) or np.any(hv <= 0):
+        raise ValueError("mean residual normaliser must be positive and finite")
+    return hv, kernel_Ktilde_sample(model, xs, stream.spawn())
+
+
 def reconstruct_mu(model: Model, chain_measure: EmpiricalMeasure, stream: RandomStream) -> EmpiricalMeasure:
     """Invariant law of the continuous process from the chain's law.
 
@@ -272,12 +281,9 @@ def reconstruct_mu(model: Model, chain_measure: EmpiricalMeasure, stream: Random
     """
     if chain_measure.provenance != "chain":
         raise ValueError("reconstruction expects a chain-tagged measure")
-    hv = _h_values(model, chain_measure.values)
-    if np.any(~np.isfinite(hv)) or np.any(hv <= 0):
-        raise ValueError("mean residual normaliser must be positive and finite")
-    w = chain_measure.weights * hv
-    pushed = kernel_Ktilde_sample(model, chain_measure.values, stream.spawn())
-    return EmpiricalMeasure.from_samples(pushed, w, provenance="reweighted")
+    hv, pushed = reweight_and_push(model, chain_measure.values, stream)
+    return EmpiricalMeasure.from_samples(pushed, chain_measure.weights * hv,
+                                         provenance="reweighted")
 
 
 def time_average_states(
@@ -291,10 +297,3 @@ def time_average_states(
     starts = np.full(int(n_paths), float(x0))
     return ensemble_states_at(model, starts, times, stream.spawn())
 
-
-def time_average_measure(
-    model: Model, x0: float, t_burn: float, t_end: float,
-    n_paths: int, n_times: int, stream: RandomStream,
-) -> EmpiricalMeasure:
-    states = time_average_states(model, x0, t_burn, t_end, n_paths, n_times, stream)
-    return EmpiricalMeasure.from_samples(states.ravel(), provenance="trajectory-time-average")

@@ -82,6 +82,45 @@ def family_by_labels(labels: Sequence[str]) -> list[TestFunction]:
 # entropies
 # ---------------------------------------------------------------------------
 
+def _atoms(values, weights):
+    v = np.ravel(np.asarray(values, dtype=float))
+    if weights is None:
+        return v, np.full(v.size, 1.0 / v.size)
+    w = np.ravel(np.asarray(weights, dtype=float))
+    return v, w / w.sum()
+
+
+def _entropy_kernel(v, w, p):
+    """p-entropy of f under the weighted atoms, given f-values ``v``, with
+    its partial derivatives in the atom values and its influence values
+    (delta method) at each atom."""
+    if not 1.0 <= p <= 2.0:
+        raise ValueError("p must lie in [1, 2]")
+    s = v * v
+    a = float(np.dot(w, s))
+    if p == 2.0:
+        m = float(np.dot(w, v))
+        val = a - m * m
+        return val, 2.0 * w * (v - m), (v - m) ** 2 - val
+    if a < 0:
+        raise ValueError("mean square is negative; invalid input")
+    if p == 1.0:
+        slogs = xlogy(s, s)
+        t1 = float(np.dot(w, slogs))
+        val = t1 - float(xlogy(a, a))
+        grad = 2.0 * w * (xlogy(v, s) - xlogy(v, max(a, 1e-300)))
+        infl = slogs - t1 - (np.log(max(a, 1e-300)) + 1.0) * (s - a)
+        return val, grad, infl
+    if np.any(v < 0):
+        raise ValueError("values must be nonnegative for 1 < p < 2")
+    g = v ** (2.0 / p)
+    b = float(np.dot(w, g))
+    val = (a - b ** p) / (p - 1.0)
+    grad = 2.0 * w * (v - b ** (p - 1.0) * np.where(v > 0, v ** (2.0 / p - 1.0), 0.0)) / (p - 1.0)
+    infl = ((s - a) - p * b ** (p - 1.0) * (g - b)) / (p - 1.0)
+    return val, grad, infl
+
+
 def entropy_p(values, p: float, weights=None) -> float:
     """Interpolation family of entropies of f under the weighted atoms.
 
@@ -90,47 +129,7 @@ def entropy_p(values, p: float, weights=None) -> float:
     the 0*log0 = 0 convention (both are even in f); for 1 < p < 2 the
     values must be nonnegative because fractional powers are taken.
     """
-    v = np.ravel(np.asarray(values, dtype=float))
-    if weights is None:
-        w = np.full(v.size, 1.0 / v.size)
-    else:
-        w = np.ravel(np.asarray(weights, dtype=float))
-        w = w / w.sum()
-    if not 1.0 <= p <= 2.0:
-        raise ValueError("p must lie in [1, 2]")
-    if p == 2.0:
-        m = float(np.dot(w, v))
-        return float(np.dot(w, v * v) - m * m)
-    s = v * v
-    a = float(np.dot(w, s))
-    if a < 0:
-        raise ValueError("mean square is negative; invalid input")
-    if p == 1.0:
-        t1 = float(np.dot(w, xlogy(s, s)))
-        return t1 - float(xlogy(a, a))
-    if np.any(v < 0):
-        raise ValueError("values must be nonnegative for 1 < p < 2")
-    b = float(np.dot(w, v ** (2.0 / p)))
-    return (a - b ** p) / (p - 1.0)
-
-
-def _entropy_value_gradient(v, w, p):
-    """Entropy value and its partial derivatives in the atom values."""
-    s = v * v
-    a = float(np.dot(w, s))
-    if p == 2.0:
-        m = float(np.dot(w, v))
-        return a - m * m, 2.0 * w * (v - m)
-    if p == 1.0:
-        t1 = float(np.dot(w, xlogy(s, s)))
-        val = t1 - float(xlogy(a, a))
-        grad = 2.0 * w * (xlogy(v, s) - xlogy(v, max(a, 1e-300)))
-        return val, grad
-    g = v ** (2.0 / p)
-    b = float(np.dot(w, g))
-    val = (a - b ** p) / (p - 1.0)
-    grad = 2.0 * w * (v - b ** (p - 1.0) * np.where(v > 0, v ** (2.0 / p - 1.0), 0.0)) / (p - 1.0)
-    return val, grad
+    return _entropy_kernel(*_atoms(values, weights), p)[0]
 
 
 def entropy_p_with_error(values, p: float, weights=None, inner_variances=None,
@@ -141,17 +140,12 @@ def entropy_p_with_error(values, p: float, weights=None, inner_variances=None,
     per-atom sample variances and the inner replication count so the
     propagated inner noise is included.
     """
-    v = np.ravel(np.asarray(values, dtype=float))
-    if weights is None:
-        w = np.full(v.size, 1.0 / v.size)
-    else:
-        w = np.ravel(np.asarray(weights, dtype=float))
-        w = w / w.sum()
+    v, w = _atoms(values, weights)
+    # the value is entropy_p's, whose weights are normalised once more
     value = entropy_p(v, p, w)
-    _, infl = _entropy_influence(v, w, p)
+    _, grad, infl = _entropy_kernel(v, w, p)
     se_sq = float(np.dot(w ** 2, infl ** 2))
     if inner_variances is not None:
-        _, grad = _entropy_value_gradient(v, w, p)
         iv = np.ravel(np.asarray(inner_variances, dtype=float))
         se_sq += float(np.dot(grad ** 2, iv / max(int(inner_n), 1)))
     return Estimate(value, float(np.sqrt(se_sq)))
@@ -353,27 +347,6 @@ def fit_decay_rate(series, rel_err_cap: float = 0.5) -> DecayFit:
 # empirical functional-inequality ratios
 # ---------------------------------------------------------------------------
 
-def _entropy_influence(fv, w, p):
-    """Influence values of the p-entropy at each atom (delta method)."""
-    s = fv * fv
-    a = float(np.dot(w, s))
-    if p == 2.0:
-        m = float(np.dot(w, fv))
-        n_val = a - m * m
-        infl = (fv - m) ** 2 - n_val
-        return n_val, infl
-    if p == 1.0:
-        t1 = float(np.dot(w, xlogy(s, s)))
-        n_val = t1 - float(xlogy(a, a))
-        infl = xlogy(s, s) - t1 - (np.log(max(a, 1e-300)) + 1.0) * (s - a)
-        return n_val, infl
-    g = fv ** (2.0 / p)
-    b = float(np.dot(w, g))
-    n_val = (a - b ** p) / (p - 1.0)
-    infl = ((s - a) - p * b ** (p - 1.0) * (g - b)) / (p - 1.0)
-    return n_val, infl
-
-
 def inequality_details(
     mu_hat: EmpiricalMeasure, family: Sequence[TestFunction],
     weight: Optional[Callable] = None, p: float = 2.0,
@@ -394,7 +367,7 @@ def inequality_details(
         den = float(np.dot(w, den_terms))
         if den <= 1e-300:
             raise ValueError(f"degenerate gradient energy for test function {tf.label}")
-        num, infl_n = _entropy_influence(fv, w, p)
+        num, _, infl_n = _entropy_kernel(fv, w, p)
         ratio = num / den
         infl_r = (infl_n - ratio * (den_terms - den)) / den
         se = float(np.sqrt(np.dot(w ** 2, infl_r ** 2)))

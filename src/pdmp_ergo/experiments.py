@@ -17,16 +17,16 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import certificates as cert
-from . import models
-from .config import ConfigError, RunConfig
-from .core import Model, simulate_ensemble
-from .embedded import (EmpiricalMeasure, chain_sample_matrix, h_function,
-                       kernel_Ktilde_sample, normaliser_estimate,
-                       reconstruct_mu, time_average_states)
+from .config import RunConfig
+from .core import Estimate, Model, simulate_ensemble
+from .embedded import (EmpiricalMeasure, chain_invariant_sample,
+                       chain_sample_matrix, normaliser_estimate,
+                       reconstruct_mu, reweight_and_push, time_average_states)
 from .estimators import (TestFunction, energy_W, entropy_p_with_error,
                          family_by_labels, fit_decay_rate, inequality_details,
                          semigroup_inner_statistics, variance_of_semigroup,
                          wasserstein_1d)
+from .registry import REGISTRY
 from .rng import RandomStream
 
 __all__ = ["run_experiment", "build_model", "Report", "entropy_decay_series"]
@@ -84,11 +84,6 @@ def write_ledger_csv(path, rows):
             writer.writerow([name, _fmt(value), provenance])
 
 
-def _fit_summary(fit) -> str:
-    return (f'{{"rate": {fit.fitted_rate:.10g}, "rate_se": {fit.rate_std_error:.4g}, '
-            f'"r2": {fit.r_squared:.6f}}}')
-
-
 def run_tasks(tasks, workers: int):
     """Run thunks, possibly in a thread pool; results in submission order."""
     if workers <= 1 or len(tasks) <= 1:
@@ -99,73 +94,12 @@ def run_tasks(tasks, workers: int):
 
 
 def build_model(config: RunConfig) -> Model:
-    if config.model == "tcp_constant":
-        return models.make_tcp_constant(
-            models.TcpConstantParams(rate=config.rate, delta=config.delta))
-    if config.model == "tcp_linear":
-        return models.make_tcp_linear(models.TcpLinearParams(config.delta))
-    if config.model == "tcp_increasing":
-        return models.make_affine_rate_tcp(
-            config.lambda_star, config.rate_slope, config.delta, config.kappa)
-    if config.model == "storage":
-        return models.make_storage(
-            models.StorageParams(config.rate, models.exponential_increment(config.u_scale)))
-    if config.model == "twisted_tcp_linear":
-        return models.make_twisted_tcp_linear(config.delta)
-    raise ConfigError(f"unknown model {config.model!r}")
+    return REGISTRY[config.model].build(config)
 
-
-# ---------------------------------------------------------------------------
-# certificates per model
-# ---------------------------------------------------------------------------
 
 def certificate_ledger(config: RunConfig, model: Model):
     """Certificate ledger rows and named bounds for the configured model."""
-    if config.model == "tcp_constant":
-        c = cert.certify_tcp_constant(config.rate, config.delta)
-        bounds = {
-            "poincare_c": c.poincare_c,
-            "gradient_rate": c.gradient_rate,
-            "wasserstein_rate": 0.5 * c.gradient_rate,
-            "optimal_w1_rate": config.rate * (1.0 - config.delta),
-        }
-        rows = list(c.ledger) + [
-            ("wasserstein_rate", bounds["wasserstein_rate"],
-             "half the gradient exponent bounds the transport decay"),
-            ("optimal_w1_rate", bounds["optimal_w1_rate"],
-             "synchronous coupling: rate*(1-delta) for first moments"),
-        ]
-        return rows, bounds
-    if config.model == "tcp_linear":
-        c = cert.certify_tcp_linear(config.delta)
-        bounds = {"entropy_c": c.entropy_c, "rate_r": c.rate_r,
-                  "weighted_logsob_c": c.weighted_logsob_c}
-        return list(c.ledger), bounds
-    if config.model == "tcp_increasing":
-        rc = cert.certify_tcp_increasing(
-            config.lambda_star, config.delta, config.kappa_value(),
-            h_at=lambda x: h_function(model, x))
-        bounds = {"poincare_c": rc.poincare_c, "decay_rate": rc.decay_rate,
-                  "eta": rc.eta, "beta": rc.beta}
-        rows = list(rc.details["ledger"]) + [
-            ("decay_rate", rc.decay_rate, "eta over one plus beta times the constant"),
-            ("prefactor", rc.prefactor, "one plus beta times the constant"),
-        ]
-        return rows, bounds
-    if config.model == "storage":
-        eta = cert.balance_eta(cert.balance_spec_storage(config.rate))
-        bounds = {"gradient_rate": eta, "wasserstein_rate": 0.5 * eta}
-        rows = [
-            ("gradient_rate", eta, "balance infimum: flow contraction 2, neutral jumps"),
-            ("wasserstein_rate", 0.5 * eta, "half the gradient exponent"),
-        ]
-        return rows, bounds
-    if config.model == "twisted_tcp_linear":
-        c = cert.certify_tcp_linear(config.delta)
-        bounds = {"logsob_c": c.weighted_logsob_c, "rate_r": c.rate_r}
-        rows = list(c.ledger)
-        return rows, bounds
-    raise ConfigError(f"no certificate for model {config.model!r}")
+    return REGISTRY[config.model].certificate(config, model)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +109,19 @@ def certificate_ledger(config: RunConfig, model: Model):
 def _grouped_reconstruction(model: Model, matrix: np.ndarray, stream: RandomStream):
     """Reweight and push a (slot, chain) matrix; returns flat atoms/weights
     plus per-chain means of the reconstruction (independent columns)."""
-    flat = matrix.ravel()
-    if model.h_form is not None:
-        hv = np.asarray(model.h_form(flat), dtype=float)
-    else:
-        hv = np.array([h_function(model, float(v)) for v in flat])
-    pushed = kernel_Ktilde_sample(model, flat, stream.spawn())
+    hv, pushed = reweight_and_push(model, matrix.ravel(), stream)
     hw = hv.reshape(matrix.shape)
     pw = pushed.reshape(matrix.shape)
     col_mean = (hw * pw).sum(axis=0) / hw.sum(axis=0)
     col_mean2 = (hw * pw ** 2).sum(axis=0) / hw.sum(axis=0)
     return pushed, hv, col_mean, col_mean2
+
+
+def _reconstructed(config: RunConfig, model: Model, n: int, master: RandomStream):
+    """Invariant law reconstructed from n embedded-chain states."""
+    chain_mu = chain_invariant_sample(model, n, config.burn_in, config.thinning,
+                                      master.substream(1))
+    return reconstruct_mu(model, chain_mu, master.substream(2))
 
 
 def _mean_se(values: np.ndarray):
@@ -257,43 +193,26 @@ def certify_experiment(config: RunConfig, model: Model, master: RandomStream,
     report.check("ledger_values_finite", finite, f"{len(rows)} quantities")
     for name, value in bounds.items():
         report.check(f"bound_{name}_positive", value > 0, f"{name}={value:.6g}")
-    if config.model == "tcp_constant":
-        closed = 4.0 / (config.rate ** 2 * (1.0 - config.delta ** 2))
-        got = bounds["poincare_c"]
-        report.check("profile_route_matches_closed_form",
-                     abs(got - closed) <= 1e-12 * closed,
-                     f"algebra={got:.17g} closed={closed:.17g}")
-    if config.model in ("tcp_linear", "twisted_tcp_linear"):
-        a_rate = (1.0 - config.delta) * cert.theta_constant()
-        report.check("rate_inside_certified_interval",
-                     0.0 < bounds["rate_r"] < a_rate,
-                     f"rate={bounds['rate_r']:.6g} upper={a_rate:.6g}")
+    check = REGISTRY[config.model].check
+    if check is not None:
+        report.check(*check(config, bounds))
 
 
-def _w1_series(config: RunConfig, model: Model, master: RandomStream):
-    """Coupled-ensemble transport distances between two point starts."""
-    x_lo, x_hi = 0.0, 2.0
-    n = config.n_outer
-    n_blocks = 20
-
+def _time_series(config: RunConfig, estimate):
+    """(t, value, std error) rows of the Estimate estimate(j, t) over the time grid."""
     def task(j, t):
-        node = master.substream(10 + j)
-        lo = simulate_ensemble(model, np.full(n, x_lo), t, node)
-        hi = simulate_ensemble(model, np.full(n, x_hi), t, node)
-        value = wasserstein_1d(
-            1.0,
-            EmpiricalMeasure.from_samples(lo, provenance="chain"),
-            EmpiricalMeasure.from_samples(hi, provenance="chain"),
-        )
-        m = (n // n_blocks) * n_blocks
-        blo = np.sort(lo[:m].reshape(n_blocks, -1), axis=1)
-        bhi = np.sort(hi[:m].reshape(n_blocks, -1), axis=1)
-        per_block = np.abs(blo - bhi).mean(axis=1)
-        se = per_block.std(ddof=1) / np.sqrt(n_blocks)
-        return t, value, float(se)
+        est = estimate(j, t)
+        return t, est.value, est.std_error
 
-    tasks = [lambda j=j, t=t: task(j, t) for j, t in enumerate(config.time_grid)]
-    return run_tasks(tasks, config.workers)
+    return run_tasks([lambda j=j, t=t: task(j, t) for j, t in enumerate(config.time_grid)],
+                     config.workers)
+
+
+def _decay_fit(series, report: Report):
+    fit = fit_decay_rate(series)
+    report.info("decay_fit", f'{{"rate": {fit.fitted_rate:.10g}, "rate_se": '
+                f'{fit.rate_std_error:.4g}, "r2": {fit.r_squared:.6f}}}')
+    return fit
 
 
 def entropy_decay_series(model: Model, tf: TestFunction, mu_hat: EmpiricalMeasure,
@@ -312,115 +231,115 @@ def entropy_decay_series(model: Model, tf: TestFunction, mu_hat: EmpiricalMeasur
     return rows
 
 
+def _verify_w1(config, model, master, bounds, report):
+    """Transport distance between coupled ensembles from two point starts."""
+    n, n_blocks = config.n_outer, 20
+
+    def w1(j, t):
+        node = master.substream(10 + j)
+        lo = simulate_ensemble(model, np.full(n, 0.0), t, node)
+        hi = simulate_ensemble(model, np.full(n, 2.0), t, node)
+        value = wasserstein_1d(
+            1.0,
+            EmpiricalMeasure.from_samples(lo, provenance="chain"),
+            EmpiricalMeasure.from_samples(hi, provenance="chain"),
+        )
+        m = (n // n_blocks) * n_blocks
+        blo = np.sort(lo[:m].reshape(n_blocks, -1), axis=1)
+        bhi = np.sort(hi[:m].reshape(n_blocks, -1), axis=1)
+        per_block = np.abs(blo - bhi).mean(axis=1)
+        return Estimate(value, float(per_block.std(ddof=1) / np.sqrt(n_blocks)))
+
+    series = _time_series(config, w1)
+    fit = _decay_fit(series, report)
+    target = bounds["optimal_w1_rate"]
+    certified = bounds["wasserstein_rate"]
+    report.check(
+        "w1_rate_near_optimal", abs(fit.fitted_rate - target) <= 0.1 * target,
+        f"fitted={fit.fitted_rate:.6g} optimal={target:.6g}")
+    report.check(
+        "w1_rate_above_certified",
+        fit.fitted_rate >= certified - 3.0 * fit.rate_std_error,
+        f"fitted={fit.fitted_rate:.6g} certified={certified:.6g} se={fit.rate_std_error:.3g}")
+    return series
+
+
+def _verify_energy(config, model, master, bounds, report):
+    atoms = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0], provenance="chain")
+    tf = family_by_labels(["x"])[0]
+    series = _time_series(config, lambda j, t: energy_W(
+        model, tf, atoms, t, config.n_inner, master.substream(20 + j)))
+    fit = _decay_fit(series, report)
+    report.check(
+        "energy_rate_matches_flow_contraction", abs(fit.fitted_rate - 2.0) <= 1e-3,
+        f"fitted={fit.fitted_rate:.10g} target=2")
+    return series
+
+
+def _verify_entropy(config, model, master, bounds, report):
+    """xlogx entropy decay on the tcp_linear process (the base of a chart image)."""
+    base_id = REGISTRY[config.model].base
+    base = model if base_id is None else REGISTRY[base_id].build(config)
+    mu = _reconstructed(config, base, config.n_outer, master)
+    lc = cert.certify_tcp_linear(config.delta)
+    series = []
+    for k, tf in enumerate(family_by_labels(["x", "sin(x)"])):
+        rows = entropy_decay_series(base, tf, mu, config.time_grid,
+                                    config.n_inner, master.substream(30 + k))
+        energy0 = mu.expectation(lambda x: np.asarray(tf.df(x)) ** 2)
+        ok = True
+        worst = ""
+        for t, value, se in rows:
+            bound = lc.entropy_c * np.exp(-lc.rate_r * t) * energy0 + 3.0 * se
+            if value > bound:
+                ok = False
+                worst = f" violated at t={t}: {value:.6g} > {bound:.6g}"
+        report.check(f"entropy_decay_certified_{tf.label}", ok,
+                     f"constant={lc.entropy_c:.6g} rate={lc.rate_r:.6g}{worst}")
+        series += rows
+    return series
+
+
+def _verify_variance(config, model, master, bounds, report):
+    mu = _reconstructed(config, model, config.n_outer, master)
+    tf = family_by_labels(["x"])[0]
+    series = _time_series(config, lambda j, t: variance_of_semigroup(
+        model, tf, mu, t, config.n_inner, master.substream(40 + j)))
+    fit = _decay_fit(series, report)
+    report.check(
+        "variance_rate_above_certified",
+        fit.fitted_rate >= bounds["decay_rate"] - 3.0 * fit.rate_std_error,
+        f"fitted={fit.fitted_rate:.6g} certified={bounds['decay_rate']:.6g}")
+    return series
+
+
+_VERIFY_ROUTES = {
+    "w1": _verify_w1,
+    "energy": _verify_energy,
+    "entropy": _verify_entropy,
+    "variance": _verify_variance,
+}
+
+
 def verify_experiment(config: RunConfig, model: Model, master: RandomStream,
                       out_dir: str, report: Report):
     rows, bounds = certificate_ledger(config, model)
     write_ledger_csv(os.path.join(out_dir, "ledger.csv"), rows)
-
-    if config.model == "tcp_constant":
-        series = _w1_series(config, model, master)
-        fit = fit_decay_rate(series)
-        report.info("decay_fit", _fit_summary(fit))
-        target = bounds["optimal_w1_rate"]
-        certified = bounds["wasserstein_rate"]
-        report.check(
-            "w1_rate_near_optimal", abs(fit.fitted_rate - target) <= 0.1 * target,
-            f"fitted={fit.fitted_rate:.6g} optimal={target:.6g}")
-        report.check(
-            "w1_rate_above_certified",
-            fit.fitted_rate >= certified - 3.0 * fit.rate_std_error,
-            f"fitted={fit.fitted_rate:.6g} certified={certified:.6g} se={fit.rate_std_error:.3g}")
-    elif config.model == "storage":
-        atoms = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0], provenance="chain")
-        tf = TestFunction(lambda x: x, lambda x: np.ones_like(x), "x")
-        times = [t for t in config.time_grid]
-
-        def task(j, t):
-            est = energy_W(model, tf, atoms, t, config.n_inner, master.substream(20 + j))
-            return t, est.value, est.std_error
-
-        series = run_tasks([lambda j=j, t=t: task(j, t) for j, t in enumerate(times)],
-                           config.workers)
-        fit = fit_decay_rate(series)
-        report.info("decay_fit", _fit_summary(fit))
-        report.check(
-            "energy_rate_matches_flow_contraction", abs(fit.fitted_rate - 2.0) <= 1e-3,
-            f"fitted={fit.fitted_rate:.10g} target=2")
-    elif config.model in ("tcp_linear", "twisted_tcp_linear"):
-        base = models.make_tcp_linear(models.TcpLinearParams(config.delta)) \
-            if config.model == "twisted_tcp_linear" else model
-        matrix = chain_sample_matrix(base, config.n_outer, config.burn_in,
-                                     config.thinning, master.substream(1))
-        chain_mu = EmpiricalMeasure.from_samples(
-            matrix.ravel()[: config.n_outer], provenance="chain")
-        mu = reconstruct_mu(base, chain_mu, master.substream(2))
-        lc = cert.certify_tcp_linear(config.delta)
-        fam = family_by_labels(["x", "sin(x)"])
-        all_rows = []
-        for k, tf in enumerate(fam):
-            series = entropy_decay_series(base, tf, mu, config.time_grid,
-                                          config.n_inner, master.substream(30 + k))
-            energy0 = mu.expectation(lambda x: np.asarray(tf.df(x)) ** 2)
-            ok = True
-            worst = ""
-            for t, value, se in series:
-                bound = lc.entropy_c * np.exp(-lc.rate_r * t) * energy0 + 3.0 * se
-                if value > bound:
-                    ok = False
-                    worst = f" violated at t={t}: {value:.6g} > {bound:.6g}"
-            report.check(f"entropy_decay_certified_{tf.label}", ok,
-                         f"constant={lc.entropy_c:.6g} rate={lc.rate_r:.6g}{worst}")
-            all_rows += [(t, v, se) for t, v, se in series]
-        series = all_rows
-    else:  # tcp_increasing
-        matrix = chain_sample_matrix(model, config.n_outer, config.burn_in,
-                                     config.thinning, master.substream(1))
-        chain_mu = EmpiricalMeasure.from_samples(
-            matrix.ravel()[: config.n_outer], provenance="chain")
-        mu = reconstruct_mu(model, chain_mu, master.substream(2))
-        tf = TestFunction(lambda x: x, lambda x: np.ones_like(x), "x")
-
-        def task(j, t):
-            est = variance_of_semigroup(model, tf, mu, t, config.n_inner,
-                                        master.substream(40 + j))
-            return t, est.value, est.std_error
-
-        series = run_tasks(
-            [lambda j=j, t=t: task(j, t) for j, t in enumerate(config.time_grid)],
-            config.workers)
-        fit = fit_decay_rate(series)
-        report.info("decay_fit", _fit_summary(fit))
-        report.check(
-            "variance_rate_above_certified",
-            fit.fitted_rate >= bounds["decay_rate"] - 3.0 * fit.rate_std_error,
-            f"fitted={fit.fitted_rate:.6g} certified={bounds['decay_rate']:.6g}")
+    route = _VERIFY_ROUTES[REGISTRY[config.model].verify]
+    series = route(config, model, master, bounds, report)
     write_series_csv(os.path.join(out_dir, "series.csv"), series)
 
 
 def inequality_experiment(config: RunConfig, model: Model, master: RandomStream,
                           out_dir: str, report: Report):
-    if config.model == "storage":
-        raise ConfigError(
-            "storage has no inequality certificate (its pre-jump kernel spreads mass)")
+    spec = REGISTRY[config.model].inequality
     rows, bounds = certificate_ledger(config, model)
-    matrix = chain_sample_matrix(model, config.chain_length, config.burn_in,
-                                 config.thinning, master.substream(1))
-    chain_mu = EmpiricalMeasure.from_samples(
-        matrix.ravel()[: config.chain_length], provenance="chain")
-    mu = reconstruct_mu(model, chain_mu, master.substream(2))
+    mu = _reconstructed(config, model, config.chain_length, master)
     mu.to_csv(os.path.join(out_dir, "measure.csv"))
 
-    family = family_by_labels(config.functions)
-    if config.model == "tcp_constant":
-        weight, p, bound, bound_name = None, 2.0, bounds["poincare_c"], "poincare_c"
-    elif config.model == "tcp_linear":
-        weight, p, bound, bound_name = (model.weight, 1.0,
-                                        bounds["weighted_logsob_c"], "weighted_logsob_c")
-    elif config.model == "twisted_tcp_linear":
-        weight, p, bound, bound_name = None, 1.0, bounds["logsob_c"], "logsob_c"
-    else:  # tcp_increasing
-        weight, p, bound, bound_name = None, 2.0, bounds["poincare_c"], "poincare_c"
-    details = inequality_details(mu, family, weight, p)
+    weight = model.weight if spec.weighted else None
+    bound = bounds[spec.bound]
+    details = inequality_details(mu, family_by_labels(config.functions), weight, spec.p)
     ledger_rows = list(rows)
     worst = max(details, key=lambda d: d["ratio"])
     for d in details:
@@ -431,7 +350,7 @@ def inequality_experiment(config: RunConfig, model: Model, master: RandomStream,
         "empirical_ratio_below_certificate",
         worst["ratio"] <= bound + 3.0 * worst["std_error"],
         f"max_ratio={worst['ratio']:.6g} ({worst['label']}) "
-        f"{bound_name}={bound:.6g} se={worst['std_error']:.3g}")
+        f"{spec.bound}={bound:.6g} se={worst['std_error']:.3g}")
 
 
 _BODIES = {

@@ -4,8 +4,10 @@ import os
 import pytest
 
 from pdmp_ergo.cli import main
-from pdmp_ergo.config import (ConfigError, RunConfig, parse_config,
+from pdmp_ergo.config import (EXPERIMENTS, ConfigError, RunConfig, parse_config,
                               parse_config_text, serialize)
+from pdmp_ergo.experiments import _VERIFY_ROUTES, build_model
+from pdmp_ergo.registry import REGISTRY
 
 MINIMAL = """
 # minimal run
@@ -49,6 +51,18 @@ def test_duplicate_key_rejected():
 def test_time_grid_must_increase():
     with pytest.raises(ConfigError):
         parse_config_text("model = storage\ntime_grid = 0,2,1\n")
+
+
+@pytest.mark.parametrize("line", [
+    "lambda = inf", "lambda_star = inf", "rate_slope = inf", "kappa = inf",
+    "kappa = nan", "u_scale = inf", "time_grid = nan", "time_grid = 0,nan,1",
+    "time_grid = 0,1,inf",
+])
+def test_non_finite_number_rejected(line):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"model = tcp_increasing\n{line}\n", origin="run.cfg")
+    key = line.split(" = ")[0]
+    assert f"run.cfg:2: {key} must be finite" in str(err.value)
 
 
 def test_missing_model():
@@ -173,12 +187,44 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["certify", "--config", cfg]) == 2
 
 
-def test_cli_unsupported_combination_fails_with_report(tmp_path):
+def test_cli_unsupported_combination_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "run.cfg", "model = storage\nout_dir = X\n")
     out = str(tmp_path / "no")
-    assert main(["inequality", "--config", cfg, "--out", out]) == 1
-    text = open(os.path.join(out, "inequality", "report.txt")).read()
-    assert "FAIL" in text and "STATUS: FAIL" in text
+    assert main(["inequality", "--config", cfg, "--out", out]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "inequality", "report.txt"))
+
+
+def test_cli_non_finite_number_exits_2(tmp_path):
+    cfg = write_config(tmp_path, "run.cfg", "model = tcp_constant\nlambda = inf\n")
+    out = str(tmp_path / "inf")
+    assert main(["certify", "--config", cfg, "--out", out]) == 2
+    assert not os.path.exists(out)
+
+
+def _parser_model_ids():
+    with pytest.raises(ConfigError) as err:
+        parse_config_text("model = ?\n")
+    return str(err.value).split("model must be one of ")[1].split(", ")
+
+
+@pytest.mark.parametrize("model", _parser_model_ids())
+def test_registry_record_per_model(tmp_path, model):
+    record = REGISTRY[model]
+    assert set(_parser_model_ids()) == set(REGISTRY)
+    assert build_model(RunConfig(model=model)).name == model
+    assert record.verify in _VERIFY_ROUTES
+    assert record.base is None or REGISTRY[record.base].base is None
+    cfg = write_config(tmp_path, "run.cfg", f"model = {model}\n")
+    for experiment in EXPERIMENTS:
+        out = str(tmp_path / experiment)
+        if record.supports(experiment):
+            assert parse_config_text(f"model = {model}\nexperiment = {experiment}\n")
+        else:
+            assert main([experiment, "--config", cfg, "--out", out]) == 2
+            assert not os.path.exists(out)
+    out = str(tmp_path / "certify")
+    assert main(["certify", "--config", cfg, "--out", out]) == 0
 
 
 def test_cli_linear_verify_entropy_path(tmp_path):
