@@ -55,6 +55,10 @@ class RunConfig:
             raise ConfigError(
                 f"model {self.model} has no {self.experiment} experiment; "
                 f"it supports {', '.join(supported)}")
+        for key, rule in record.params:
+            value = getattr(self, key)
+            if value is not None and not _RULES[rule](value):
+                raise ConfigError(f"model {self.model}: {key} must {rule}")
 
     def kappa_value(self) -> float:
         """Log-rate Lipschitz constant; for the affine rate family the slope

@@ -17,7 +17,7 @@ share those draws (common random numbers).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -71,6 +71,11 @@ class Model:
     shortcuts used by the embedded-chain module (the mean residual
     normaliser and the length-biased inter-jump sampler); generic
     quadrature fallbacks are used otherwise.
+
+    A chart image carries its ``base`` model and the ``chart`` (``psi`` to
+    chart coordinates, ``psi_inv`` back); the ensemble engine and the
+    embedded-chain kernels map once at entry, run the base natively and
+    map once at exit.
     """
 
     name: str
@@ -86,6 +91,8 @@ class Model:
     weight: Callable = _ones_like
     h_form: Optional[Callable] = None
     ktilde_sampler: Optional[Callable] = None
+    base: Optional[Model] = None
+    chart: Optional[Any] = None
 
     def contains(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -182,6 +189,9 @@ def simulate_ensemble(
     if np.any(t < 0):
         raise ValueError("t_end must be nonnegative")
     model.require_in_domain(x0, "start state")
+    chart = model.chart
+    if chart is not None:
+        model, x0 = model.base, chart.psi_inv(x0)
     marks = EventMarks(stream)
     x = x0.copy()
     alive = np.flatnonzero(t > 0)
@@ -202,7 +212,7 @@ def simulate_ensemble(
             x[alive] = model.jump(pre, MarkView(marks, alive, event))
             t[alive] -= tau
         event += 1
-    return x
+    return x if chart is None else chart.psi(x)
 
 
 def ensemble_states_at(

@@ -127,6 +127,8 @@ def kernel_Ktilde_sample(model: Model, x, stream: RandomStream):
     """
     x = np.asarray(x, dtype=float)
     model.require_in_domain(x, "state")
+    if model.chart is not None:
+        return model.chart.psi(kernel_Ktilde_sample(model.base, model.chart.psi_inv(x), stream))
     if model.ktilde_sampler is not None:
         t = model.ktilde_sampler(x, stream)
     else:
@@ -189,6 +191,9 @@ def chain_sample_matrix(
     quota = -(-n // n_chains)
     states = np.full(n_chains, float(x0))
     model.require_in_domain(states, "chain start")
+    if model.chart is not None:
+        return model.chart.psi(chain_sample_matrix(
+            model.base, n, burn_in, thinning, stream, model.chart.psi_inv(float(x0)), n_chains))
     node = stream.spawn()
     step = 0
     for _ in range(burn_in):

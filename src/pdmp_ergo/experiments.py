@@ -278,8 +278,7 @@ def _verify_energy(config, model, master, bounds, report):
 
 def _verify_entropy(config, model, master, bounds, report):
     """xlogx entropy decay on the tcp_linear process (the base of a chart image)."""
-    base_id = REGISTRY[config.model].base
-    base = model if base_id is None else REGISTRY[base_id].build(config)
+    base = model if model.base is None else model.base
     mu = _reconstructed(config, base, config.n_outer, master)
     lc = cert.certify_tcp_linear(config.delta)
     series = []

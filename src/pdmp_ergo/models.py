@@ -4,8 +4,8 @@ Four families are shipped: the additive-growth multiplicative-collapse
 process with constant jump rate, the same with linearly growing rate, the
 same with a general nondecreasing rate (numeric rate integral), and the
 storage process (exponential decay between upward jumps).  A fifth model
-is the image of the linear-rate process under the concave chart that
-flattens its gradient weight.
+is the linear-rate process conjugated by the concave chart that flattens
+its gradient weight.
 
 Every factory returns a :class:`~pdmp_ergo.core.Model` whose callables
 accept arrays, so the vectorised engine can drive them directly.
@@ -35,6 +35,7 @@ __all__ = [
     "make_affine_rate_tcp",
     "make_storage",
     "make_twisted_tcp_linear",
+    "conjugate",
     "tcp_constant_invariant_moments",
     "tcp_constant_spectrum",
     "linear_weight",
@@ -354,23 +355,25 @@ class UnitFlowCumRate:
 
     ``value(y)`` integrates the rate from 0 to y exactly to quadrature
     precision (no interpolation of the integral itself); ``inverse(v)``
-    solves value(y) = v by a bracketed Newton iteration.  The table
-    extends itself by doubling when queried beyond its current range.
+    solves value(y) = v by a bracketed Newton iteration and raises unless
+    every residual is within ``rtol * max(1, v)``.  The table extends
+    itself by doubling when queried beyond its current range.
     """
 
-    _NODES = 24
+    _MAX_NEWTON = 60
 
     def __init__(self, rate_fn: Callable, y_high: float = 512.0, step: float = 0.25,
-                 y_cap: float = 1e7):
+                 y_cap: float = 1e7, nodes: int = 24, rtol: float = 1e-12):
         self._rate = rate_fn
         self._step = float(step)
         self._y_cap = float(y_cap)
+        self._rtol = float(rtol)
         self._lock = threading.Lock()
-        gl_x, gl_w = roots_legendre(self._NODES)
+        gl_x, gl_w = roots_legendre(nodes)
         self._gx = 0.5 * (gl_x + 1.0)
         self._gw = 0.5 * gl_w
-        self._edges = np.array([0.0])
-        self._cum = np.array([0.0])
+        # (edges, cumulative integral): swapped whole under the lock, read once
+        self._table = (np.array([0.0]), np.array([0.0]))
         self._extend_to(y_high)
 
     def _panel_integrals(self, lo, hi):
@@ -381,29 +384,32 @@ class UnitFlowCumRate:
 
     def _extend_to(self, y: float):
         with self._lock:
-            top = self._edges[-1]
+            edges, cum = self._table
+            top = edges[-1]
             if y <= top:
                 return
             n_new = int(np.ceil((y - top) / self._step)) + 8
-            lo = top + self._step * np.arange(n_new)
-            hi = lo + self._step
-            inc = self._panel_integrals(lo, hi)
-            self._edges = np.concatenate([self._edges, hi])
-            self._cum = np.concatenate([self._cum, self._cum[-1] + np.cumsum(inc)])
+            # each panel starts at the stored end of the one before, so the
+            # cumulative sum telescopes whatever the rounding of the step
+            hi = top + self._step * np.arange(1, n_new + 1)
+            inc = self._panel_integrals(np.concatenate([[top], hi[:-1]]), hi)
+            self._table = (np.concatenate([edges, hi]),
+                           np.concatenate([cum, cum[-1] + np.cumsum(inc)]))
 
     def value(self, y):
         y = np.asarray(y, dtype=float)
         if np.any(y < 0):
             raise ValueError("negative position in cumulative rate")
         ymax = float(y.max()) if y.size else 0.0
-        if ymax > self._edges[-1]:
+        if ymax > self._table[0][-1]:
             self._extend_to(2.0 * ymax)
+        edges, cum = self._table
         flat = np.atleast_1d(y).ravel()
-        k = np.searchsorted(self._edges, flat, side="right") - 1
-        k = np.clip(k, 0, self._edges.size - 2)
-        lo = self._edges[k]
+        k = np.searchsorted(edges, flat, side="right") - 1
+        k = np.clip(k, 0, edges.size - 2)
+        lo = edges[k]
         part = self._panel_integrals(lo, flat)
-        out = self._cum[k] + part
+        out = cum[k] + part
         return out.reshape(y.shape) if y.shape else float(out[0])
 
     def inverse(self, v):
@@ -411,22 +417,27 @@ class UnitFlowCumRate:
         if np.any(v < 0):
             raise ValueError("negative level in inverse cumulative rate")
         vmax = float(v.max()) if v.size else 0.0
-        while self._cum[-1] < vmax:
-            if self._edges[-1] > self._y_cap:
+        edges, cum = self._table
+        while cum[-1] < vmax:
+            if edges[-1] > self._y_cap:
                 raise ValueError(
                     "cumulative rate failed to reach the requested level within "
                     f"the search horizon {self._y_cap:g}; the rate decays too fast")
-            self._extend_to(2.0 * self._edges[-1])
+            self._extend_to(2.0 * edges[-1])
+            edges, cum = self._table
         flat = np.atleast_1d(v).ravel()
-        k = np.clip(np.searchsorted(self._cum, flat, side="right") - 1, 0, self._cum.size - 2)
-        frac = (flat - self._cum[k]) / np.maximum(self._cum[k + 1] - self._cum[k], 1e-300)
-        y = self._edges[k] + frac * (self._edges[k + 1] - self._edges[k])
-        for _ in range(60):
+        k = np.clip(np.searchsorted(cum, flat, side="right") - 1, 0, cum.size - 2)
+        frac = (flat - cum[k]) / np.maximum(cum[k + 1] - cum[k], 1e-300)
+        y = edges[k] + frac * (edges[k + 1] - edges[k])
+        for _ in range(self._MAX_NEWTON):
             resid = self.value(y) - flat
-            if np.all(np.abs(resid) <= 1e-12 * np.maximum(1.0, flat)):
+            if np.all(np.abs(resid) <= self._rtol * np.maximum(1.0, flat)):
                 break
             y = y - resid / np.maximum(np.asarray(self._rate(y), dtype=float), 1e-300)
-            y = np.clip(y, self._edges[k], self._edges[k + 1])
+            y = np.clip(y, edges[k], edges[k + 1])
+        else:
+            raise ValueError(
+                f"inverse cumulative rate did not converge in {self._MAX_NEWTON} Newton steps")
         return y.reshape(v.shape) if v.shape else float(y[0])
 
 
@@ -514,27 +525,21 @@ class PsiChart:
 
     With weight 1 - exp(-x) the integrand has an inverse-square-root
     singularity at zero; substituting x = w^2 removes it, so the chart is
-    tabulated in w with panel Gauss-Legendre and evaluated by exact panel
-    quadrature (no interpolation error on the chart itself).  Beyond
+    a cumulative table in w (panel Gauss-Legendre, evaluated by exact panel
+    quadrature, inverted by Newton to 8 ulps of the chart value).  Beyond
     ``x_cut`` the integrand is 1 to machine precision and the chart
     continues as a unit-slope line.
     """
 
-    _NODES = 16
+    name = "twisted"
 
     def __init__(self, x_cut: float = 30.0, n_panels: int = 2048):
         self.x_cut = float(x_cut)
         w_max = math.sqrt(self.x_cut)
-        gl_x, gl_w = roots_legendre(self._NODES)
-        self._gx = 0.5 * (gl_x + 1.0)
-        self._gw = 0.5 * gl_w
-        self._w = np.linspace(0.0, w_max, n_panels + 1)
-        mids_lo = self._w[:-1]
-        widths = np.diff(self._w)
-        nodes = mids_lo[:, None] + widths[:, None] * self._gx[None, :]
-        inc = widths * (self._q(nodes) @ self._gw)
-        self._psi = np.concatenate([[0.0], np.cumsum(inc)])
-        self.offset = float(self._psi[-1] - self.x_cut)
+        self._table = UnitFlowCumRate(self._q, y_high=w_max, step=w_max / n_panels,
+                                      nodes=16, rtol=8.0 * np.finfo(float).eps)
+        self._top = self._table.value(w_max)
+        self.offset = self._top - self.x_cut
 
     @staticmethod
     def _q(w):
@@ -549,39 +554,17 @@ class PsiChart:
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise ValueError("chart argument must be nonnegative")
-        flat = np.atleast_1d(x).ravel()
-        out = np.empty_like(flat)
-        far = flat >= self.x_cut
-        out[far] = flat[far] + self.offset
-        near = ~far
-        if near.any():
-            w = np.sqrt(flat[near])
-            k = np.clip(np.searchsorted(self._w, w, side="right") - 1, 0, self._w.size - 2)
-            lo = self._w[k]
-            width = w - lo
-            nodes = lo[:, None] + width[:, None] * self._gx[None, :]
-            out[near] = self._psi[k] + width * (self._q(nodes) @ self._gw)
-        return out.reshape(x.shape) if x.shape else float(out[0])
+        near = self._table.value(np.sqrt(np.minimum(x, self.x_cut)))
+        out = np.where(x >= self.x_cut, x + self.offset, near)
+        return out if out.ndim else float(out)
 
     def psi_inv(self, z):
         z = np.asarray(z, dtype=float)
         if np.any(z < 0):
             raise ValueError("chart value must be nonnegative")
-        flat = np.atleast_1d(z).ravel()
-        out = np.empty_like(flat)
-        far = flat >= self._psi[-1]
-        out[far] = flat[far] - self.offset
-        near = ~far
-        if near.any():
-            zn = flat[near]
-            k = np.clip(np.searchsorted(self._psi, zn, side="right") - 1, 0, self._psi.size - 2)
-            frac = (zn - self._psi[k]) / np.maximum(self._psi[k + 1] - self._psi[k], 1e-300)
-            w = self._w[k] + frac * (self._w[k + 1] - self._w[k])
-            for _ in range(6):
-                w = w - (self.psi(w * w) - zn) / np.maximum(self._q(w), 1e-300)
-                w = np.clip(w, self._w[k], self._w[k + 1])
-            out[near] = w * w
-        return out.reshape(z.shape) if z.shape else float(out[0])
+        w = self._table.inverse(np.minimum(z, self._top))
+        out = np.where(z >= self._top, z - self.offset, w * w)
+        return out if out.ndim else float(out)
 
 
 _CHART_LOCK = threading.Lock()
@@ -596,48 +579,42 @@ def psi_chart() -> PsiChart:
     return _CHART
 
 
-def make_twisted_tcp_linear(delta: float) -> Model:
-    if not 0.0 <= float(delta) < 1.0:
-        raise ValueError("delta must lie in [0,1)")
-    delta = float(delta)
-    chart = psi_chart()
+def conjugate(base: Model, chart) -> Model:
+    """``base`` seen through the chart that flattens its gradient weight.
 
-    def flow(z, t):
-        return chart.psi(chart.psi_inv(z) + np.asarray(t, dtype=float))
+    ``chart.psi`` maps native states to chart coordinates, ``chart.psi_inv``
+    maps back, and the chart's slope is weight^{-1/2}: the image has unit
+    weight and drift base.drift / sqrt(base.weight).  Its callables take
+    chart coordinates; the ensemble engine and the embedded-chain kernels
+    run ``base`` natively instead.  The image is ``<chart.name>_<base.name>``.
+    """
+    psi, psi_inv = chart.psi, chart.psi_inv
+
+    def on_base(fn):
+        return None if fn is None else (lambda z, *rest: fn(psi_inv(z), *rest))
 
     def drift(z):
-        x = chart.psi_inv(z)
+        x = psi_inv(z)
         with np.errstate(divide="ignore"):
-            return 1.0 / np.sqrt(linear_weight(x))
-
-    def cum_rate(z, t):
-        x = chart.psi_inv(z)
-        t = np.asarray(t, dtype=float)
-        return x * t + 0.5 * t * t
-
-    def inv_cum_rate(z, u):
-        return _linear_inv_cum(chart.psi_inv(z), u)
-
-    def jump(z, rng):
-        return chart.psi(delta * chart.psi_inv(z))
-
-    def ktilde(z, stream):
-        shape = np.shape(z)
-        x = np.ravel(chart.psi_inv(z))
-        t = linear_ktilde_times(x, stream)
-        return np.reshape(t, shape) if shape else float(t[0])
+            return base.drift(x) / np.sqrt(base.weight(x))
 
     return Model(
-        name="twisted_tcp_linear",
-        domain_low=0.0,
-        domain_high=np.inf,
+        name=f"{chart.name}_{base.name}",
+        domain_low=base.domain_low,
+        domain_high=base.domain_high,
         drift=drift,
-        flow=flow,
-        rate=lambda z: chart.psi_inv(z),
-        cum_rate=cum_rate,
-        inv_cum_rate=inv_cum_rate,
-        jump=jump,
-        jump_gradient_bound=_const(delta),
-        h_form=lambda z: linear_h(chart.psi_inv(z)),
-        ktilde_sampler=ktilde,
+        flow=lambda z, t: psi(base.flow(psi_inv(z), t)),
+        rate=on_base(base.rate),
+        cum_rate=on_base(base.cum_rate),
+        inv_cum_rate=on_base(base.inv_cum_rate),
+        jump=lambda z, rng: psi(base.jump(psi_inv(z), rng)),
+        jump_gradient_bound=base.jump_gradient_bound,
+        h_form=on_base(base.h_form),
+        ktilde_sampler=on_base(base.ktilde_sampler),
+        base=base,
+        chart=chart,
     )
+
+
+def make_twisted_tcp_linear(delta: float) -> Model:
+    return conjugate(make_tcp_linear(TcpLinearParams(delta)), psi_chart())

@@ -33,16 +33,16 @@ class InequalitySpec:
 @dataclass(frozen=True)
 class ModelRecord:
     """``verify`` names the decay measurement of the verify experiment (w1,
-    energy, entropy or variance); ``base`` is the id of the model whose chart
-    image this one is, and the verify route runs on it; ``check`` returns one
-    more (name, ok, detail) certify assertion."""
+    energy, entropy or variance); ``check`` returns one more (name, ok,
+    detail) certify assertion; ``params`` holds (field, rule) pairs the config
+    parser enforces for this model on top of the field's own rule."""
 
     build: Callable[[RunConfig], Model]
     certificate: Callable[[RunConfig, Model], tuple]
     verify: str
     inequality: Optional[InequalitySpec] = None
     check: Optional[Callable[[RunConfig, dict], tuple]] = None
-    base: Optional[str] = None
+    params: tuple = ()
 
     def supports(self, experiment: str) -> bool:
         return experiment != "inequality" or self.inequality is not None
@@ -135,6 +135,8 @@ REGISTRY = {
         certificate=_tcp_increasing_certificate,
         verify="variance",
         inequality=InequalitySpec(2.0, "poincare_c"),
+        # the certificate needs a contracting jump and a rising rate
+        params=(("delta", "be positive"), ("kappa", "be positive")),
     ),
     # no inequality certificate: the pre-jump kernel spreads mass
     "storage": ModelRecord(
@@ -149,6 +151,5 @@ REGISTRY = {
         verify="entropy",
         inequality=InequalitySpec(1.0, "logsob_c"),
         check=_rate_interval_check,
-        base="tcp_linear",
     ),
 }

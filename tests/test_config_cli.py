@@ -65,6 +65,16 @@ def test_non_finite_number_rejected(line):
     assert f"run.cfg:2: {key} must be finite" in str(err.value)
 
 
+@pytest.mark.parametrize("line,message", [
+    ("delta = 0", "delta must be positive"), ("kappa = 0", "kappa must be positive"),
+])
+def test_model_parameter_rule_rejected(line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(f"model = tcp_increasing\n{line}\n", origin="run.cfg")
+    assert f"run.cfg: model tcp_increasing: {message}" in str(err.value)
+    assert parse_config_text(f"model = tcp_linear\n{line}\n")
+
+
 def test_missing_model():
     with pytest.raises(ConfigError):
         parse_config_text("seed = 3\n")
@@ -182,9 +192,15 @@ def test_cli_bad_env_worker(tmp_path, monkeypatch):
     assert main(["certify", "--config", cfg]) == 2
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad.cfg", "model = tcp_constant\ndelta = 1.2\n")
     assert main(["certify", "--config", cfg]) == 2
+    # accepted by the delta parser, rejected by the model's parameter rule
+    cfg = write_config(tmp_path, "zero.cfg", "model = tcp_increasing\ndelta = 0\n")
+    out = str(tmp_path / "zero")
+    assert main(["certify", "--config", cfg, "--out", out]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_unsupported_combination_is_a_config_error(tmp_path, capsys):
@@ -212,9 +228,10 @@ def _parser_model_ids():
 def test_registry_record_per_model(tmp_path, model):
     record = REGISTRY[model]
     assert set(_parser_model_ids()) == set(REGISTRY)
-    assert build_model(RunConfig(model=model)).name == model
+    built = build_model(RunConfig(model=model))
+    assert built.name == model
     assert record.verify in _VERIFY_ROUTES
-    assert record.base is None or REGISTRY[record.base].base is None
+    assert built.base is None or built.base.base is None
     cfg = write_config(tmp_path, "run.cfg", f"model = {model}\n")
     for experiment in EXPERIMENTS:
         out = str(tmp_path / experiment)

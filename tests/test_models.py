@@ -1,10 +1,17 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from pdmp_ergo.core import ensemble_states_at, simulate_ensemble
+from pdmp_ergo.embedded import chain_sample_matrix, kernel_Ktilde_sample
 from pdmp_ergo.models import (PsiChart, StorageParams, TcpConstantParams,
                               TcpIncreasingParams, TcpLinearParams,
-                              exponential_increment, linear_weight,
+                              UnitFlowCumRate, exponential_increment,
+                              linear_weight,
                               make_affine_rate_tcp, make_storage,
                               make_tcp_constant, make_tcp_increasing,
                               make_tcp_linear, make_twisted_tcp_linear,
@@ -155,11 +162,58 @@ def test_affine_shortcut_agrees_with_numeric_path():
 
 def test_rate_table_horizon_guard():
     # a rate that dies off keeps the cumulative integral bounded
-    from pdmp_ergo.models import UnitFlowCumRate
     table = UnitFlowCumRate(lambda y: np.exp(-np.asarray(y, dtype=float)),
                             y_high=8.0, y_cap=1e4)
     with pytest.raises(ValueError):
         table.inverse(5.0)
+
+
+@pytest.mark.parametrize("step", [0.1, 0.3, 1 / 3])
+def test_rate_table_panels_meet_for_any_step(step):
+    # panels that do not meet exactly leave gaps that add up along the table
+    table = UnitFlowCumRate(lambda y: 1.0 + np.asarray(y, dtype=float), y_high=200.0,
+                            step=step)
+    y = np.linspace(0.0, 200.0, 20001)
+    exact = y + 0.5 * y * y
+    assert np.max(np.abs(table.value(y) - exact) / np.maximum(1.0, exact)) <= 4e-15
+
+
+def test_rate_table_concurrent_extension_matches_serial():
+    # four threads query ever further past the end of a fresh table, so they
+    # extend it while the others read it; repeated over fresh tables
+    def rate(y):
+        return 1.0 + np.sqrt(np.asarray(y, dtype=float))
+
+    queries = [np.linspace(0.0, top, 257) for top in np.geomspace(16.0, 4000.0, 24)]
+    serial = UnitFlowCumRate(rate, y_high=8.0)
+    ref = [(serial.value(y), serial.inverse(y)) for y in queries]
+
+    def worker(table, out, errors):
+        try:
+            out.extend((table.value(y), table.inverse(y)) for y in queries)
+        except Exception as exc:  # noqa: BLE001 - reported by the main thread
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            table = UnitFlowCumRate(rate, y_high=8.0)
+            outs, errors = [[] for _ in range(4)], []
+            threads = [threading.Thread(target=worker, args=(table, out, errors))
+                       for out in outs]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert errors == []
+            for out in outs:
+                for (value, inverse), (ref_value, ref_inverse) in zip(out, ref, strict=True):
+                    np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(inverse, ref_inverse, rtol=1e-12, atol=1e-12)
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 # ---------------------------------------------------------------------------
@@ -208,3 +262,51 @@ def test_twisted_rate_and_flow():
     z = chart.psi(3.0)
     assert float(model.rate(z)) == pytest.approx(3.0, rel=1e-11)
     assert float(model.flow(z, 2.0)) == pytest.approx(float(chart.psi(5.0)), rel=1e-11)
+
+
+def test_chart_inverse_converges_on_dense_sweep():
+    # z near 0, at and next to the panel edges, and around psi(x_cut)
+    chart = psi_chart()
+    edges = chart.psi(np.linspace(0.0, np.sqrt(chart.x_cut), 2049) ** 2)
+    top = chart.psi(chart.x_cut)
+    z = np.concatenate([
+        np.geomspace(1e-300, 1e-2, 400),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        np.linspace(0.0, 1.01 * top, 20001),
+        [top, np.nextafter(top, 0.0), np.nextafter(top, np.inf)],
+    ])
+    back = chart.psi(chart.psi_inv(z))
+    assert np.all(np.abs(back - z) <= 1e-12 * np.maximum(1.0, z))
+    x = np.concatenate([np.geomspace(1e-300, 1e-2, 400),
+                        np.linspace(0.0, 1.01 * chart.x_cut, 20001)])
+    assert np.all(np.abs(chart.psi_inv(chart.psi(x)) - x) <= 1e-12 * np.maximum(1.0, x))
+
+
+def test_iterative_inverses_raise_when_not_converged(monkeypatch):
+    # the chart inverts through the same table class, so one cap covers both
+    monkeypatch.setattr(UnitFlowCumRate, "_MAX_NEWTON", 1)
+    with pytest.raises(ValueError, match="did not converge"):
+        psi_chart().psi_inv(np.linspace(0.1, 20.0, 101))
+    table = UnitFlowCumRate(lambda y: 1.0 + np.asarray(y, dtype=float) ** 2)
+    with pytest.raises(ValueError, match="did not converge"):
+        table.inverse(np.linspace(0.1, 50.0, 101))
+
+
+def test_twisted_native_route_matches_chart_coordinates():
+    # the stripped model has the same chart-coordinate callables but no
+    # base, so the engine and the kernels take the event-by-event route
+    model = make_twisted_tcp_linear(0.5)
+    ref = dataclasses.replace(model, base=None, chart=None)
+    renamed = dataclasses.replace(model, name="copy")
+    assert renamed.base is model.base and renamed.chart is model.chart
+    assert model.base.name == "tcp_linear" and model.chart is psi_chart()
+    z0 = psi_chart().psi(np.linspace(0.0, 8.0, 500))
+
+    def same(run):
+        np.testing.assert_allclose(run(model), run(ref), rtol=1e-12, atol=0)
+
+    same(lambda m: simulate_ensemble(m, z0, 2.5, RandomStream(5)))
+    same(lambda m: ensemble_states_at(m, z0, [0.5, 1.0, 3.0], RandomStream(6)))
+    same(lambda m: chain_sample_matrix(m, 3000, burn_in=50, stream=RandomStream(7),
+                                       n_chains=300))
+    same(lambda m: kernel_Ktilde_sample(m, z0, RandomStream(8)))
