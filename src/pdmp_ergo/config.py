@@ -59,6 +59,9 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not _RULES[rule](value):
                 raise ConfigError(f"model {self.model}: {key} must {rule}")
+        problem = record.relation and record.relation(self)
+        if problem:
+            raise ConfigError(f"model {self.model}: {problem}")
 
     def kappa_value(self) -> float:
         """Log-rate Lipschitz constant; for the affine rate family the slope
@@ -71,6 +74,7 @@ class RunConfig:
 _RULES = {
     "be positive": lambda v: v > 0,
     "be nonnegative": lambda v: v >= 0,
+    "be at least 2": lambda v: v >= 2,
     "lie in [0,1)": lambda v: 0.0 <= v < 1.0,
 }
 
@@ -138,7 +142,7 @@ _KEYS = {
     "u_scale": ("u_scale", number_parser("u_scale", float, "be positive")),
     "seed": ("seed", number_parser("seed", int, "be nonnegative")),
     "n_outer": ("n_outer", number_parser("n_outer", int, "be positive")),
-    "n_inner": ("n_inner", number_parser("n_inner", int, "be positive")),
+    "n_inner": ("n_inner", number_parser("n_inner", int, "be at least 2")),
     "chain_length": ("chain_length", number_parser("chain_length", int, "be positive")),
     "burn_in": ("burn_in", number_parser("burn_in", int, "be nonnegative")),
     "thinning": ("thinning", number_parser("thinning", int, "be positive")),

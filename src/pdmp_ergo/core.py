@@ -16,6 +16,7 @@ share those draws (common random numbers).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -33,12 +34,15 @@ __all__ = [
     "simulate_path",
     "simulate_ensemble",
     "ensemble_states_at",
+    "nested_grid_statistics",
     "semigroup_estimate",
     "gradient_semigroup_estimate",
     "default_bump",
 ]
 
 MAX_EVENTS_DEFAULT = 10_000_000
+# paths advanced at once by one atom block of nested_grid_statistics
+_ATOM_BLOCK = 2_000_000
 
 
 class DomainError(ValueError):
@@ -232,33 +236,76 @@ def ensemble_states_at(
         raise ValueError("times must be nondecreasing and nonnegative")
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     out = np.empty((x.size, times.size))
-    prev = 0.0
-    for j, tj in enumerate(times):
-        x = simulate_ensemble(model, x, tj - prev, stream.substream(j), max_events)
+    for j, step in enumerate(np.diff(times, prepend=0.0)):
+        x = simulate_ensemble(model, x, step, stream.substream(j), max_events)
         out[:, j] = x
-        prev = tj
     return out
 
 
-def semigroup_estimate(
-    model: Model, f: Callable, x: float, t: float, n: int, rng: RandomStream,
-    max_events: int = MAX_EVENTS_DEFAULT,
-) -> Estimate:
+def run_tasks(tasks, workers: int):
+    """Run thunks, possibly in a thread pool; results in submission order."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [task() for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task) for task in tasks]
+        return [f.result() for f in futures]
+
+
+def nested_grid_statistics(model: Model, fs, atoms, times, inner_n: int,
+                           stream: RandomStream, bumps=None, workers: int = 1):
+    """Per-atom inner means and ddof-1 variances of every f along a time grid.
+
+    Each atom is repeated ``inner_n`` times and that ensemble is advanced
+    once across the nondecreasing grid, segment j of atom block b on
+    ``stream.substream(b, j)``; every f is evaluated on the shared states.
+    With ``bumps`` the statistics are those of the central difference
+    (f(up) - f(down)) / (2 bump) between twins started at atom +/- bump,
+    which replay the same node on every segment (common random numbers).
+    Atom blocks run on ``workers`` threads without changing any value.
+    Returns (means, variances), each of shape (len(fs), len(times), atoms).
+    """
+    if inner_n < 2:
+        raise ValueError("need at least two inner replications")
+    atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
+    steps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+    means = np.empty((len(fs), steps.size, atoms.size))
+    ivars = np.empty_like(means)
+    twins = 1 if bumps is None else 2
+    per_block = max(1, _ATOM_BLOCK // (twins * int(inner_n)))
+
+    def block(b, lo):
+        hi = min(atoms.size, lo + per_block)
+        xs = [np.repeat(atoms[lo:hi], inner_n)] if bumps is None else \
+            [np.repeat(atoms[lo:hi] + s * bumps[lo:hi], inner_n) for s in (1.0, -1.0)]
+        for j, step in enumerate(steps):
+            node = stream.substream(b, j)
+            xs = [simulate_ensemble(model, x, step, node) for x in xs]
+            for i, f in enumerate(fs):
+                vals = [np.asarray(f(x), dtype=float).reshape(hi - lo, inner_n) for x in xs]
+                if bumps is not None:
+                    vals = [(vals[0] - vals[1]) / (2.0 * bumps[lo:hi, None])]
+                means[i, j, lo:hi] = vals[0].mean(axis=1)
+                ivars[i, j, lo:hi] = vals[0].var(axis=1, ddof=1)
+
+    run_tasks([lambda b=b, lo=lo: block(b, lo)
+               for b, lo in enumerate(range(0, atoms.size, per_block))], workers)
+    return means, ivars
+
+
+def semigroup_estimate(model: Model, f: Callable, x: float, t: float, n: int,
+                       rng: RandomStream) -> Estimate:
     """Estimate the conditional mean of f at time t started from x."""
-    if n < 2:
-        raise ValueError("need at least two replications")
-    ends = simulate_ensemble(model, np.full(int(n), float(x)), t, rng.spawn(), max_events)
-    vals = np.asarray(f(ends), dtype=float)
-    return Estimate(float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n)))
+    means, ivars = nested_grid_statistics(model, [f], [x], [t], n, rng.spawn())
+    return Estimate(float(means[0, 0, 0]), float(np.sqrt(ivars[0, 0, 0] / n)))
 
 
-def default_bump(x: float) -> float:
-    return 1e-4 * max(1.0, abs(float(x)))
+def default_bump(x):
+    return 1e-4 * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
 
 
 def gradient_semigroup_estimate(
     model: Model, f: Callable, x: float, t: float, n: int, rng: RandomStream,
-    h: Optional[float] = None, max_events: int = MAX_EVENTS_DEFAULT,
+    h: Optional[float] = None,
 ) -> Estimate:
     """Central-difference estimate of d/dx of the time-t conditional mean.
 
@@ -266,15 +313,8 @@ def gradient_semigroup_estimate(
     and jump draws (they share one stream node), so for synchronously
     coupled models the difference is exact and the variance collapses.
     """
-    if n < 2:
-        raise ValueError("need at least two replications")
-    h = default_bump(x) if h is None else float(h)
+    h = float(default_bump(x) if h is None else h)
     if h <= 0:
         raise ValueError("bump size must be positive")
-    if x - h < model.domain_low or x + h > model.domain_high:
-        raise DomainError(f"x +/- h leaves the domain (x={x}, h={h})")
-    node = rng.spawn()
-    up = simulate_ensemble(model, np.full(int(n), x + h), t, node, max_events)
-    dn = simulate_ensemble(model, np.full(int(n), x - h), t, node, max_events)
-    d = (np.asarray(f(up), dtype=float) - np.asarray(f(dn), dtype=float)) / (2.0 * h)
-    return Estimate(float(d.mean()), float(d.std(ddof=1) / np.sqrt(n)))
+    means, ivars = nested_grid_statistics(model, [f], [x], [t], n, rng.spawn(), bumps=np.array([h]))
+    return Estimate(float(means[0, 0, 0]), float(np.sqrt(ivars[0, 0, 0] / n)))

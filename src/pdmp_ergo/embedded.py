@@ -106,9 +106,6 @@ class EmpiricalMeasure:
         data = np.atleast_2d(data)
         return cls.from_samples(data[:, 0], data[:, 1], provenance)
 
-    def validate_for(self, model: Model):
-        model.require_in_domain(self.values, "measure atom")
-
 
 def kernel_K_sample(model: Model, x, stream: RandomStream):
     """Sample the pre-jump position: flow to an inverse-transform jump time."""

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import xlogy
 
-from .core import DomainError, Estimate, Model, simulate_ensemble
+from .core import Estimate, Model, default_bump, nested_grid_statistics
 from .embedded import EmpiricalMeasure
 from .rng import RandomStream
 
@@ -31,10 +31,7 @@ __all__ = [
     "fit_decay_rate",
     "empirical_inequality_ratio",
     "inequality_details",
-    "semigroup_inner_statistics",
 ]
-
-_ATOM_BLOCK = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -141,9 +138,7 @@ def entropy_p_with_error(values, p: float, weights=None, inner_variances=None,
     propagated inner noise is included.
     """
     v, w = _atoms(values, weights)
-    # the value is entropy_p's, whose weights are normalised once more
-    value = entropy_p(v, p, w)
-    _, grad, infl = _entropy_kernel(v, w, p)
+    value, grad, infl = _entropy_kernel(v, w, p)
     se_sq = float(np.dot(w ** 2, infl ** 2))
     if inner_variances is not None:
         iv = np.ravel(np.asarray(inner_variances, dtype=float))
@@ -195,68 +190,30 @@ def wasserstein_1d(
 # nested Monte Carlo functionals
 # ---------------------------------------------------------------------------
 
-def semigroup_inner_statistics(model, f, atoms, t, inner_n, stream):
-    """Per-atom inner mean and unbiased inner variance of f at time t."""
-    n_at = atoms.size
-    means = np.empty(n_at)
-    ivars = np.empty(n_at)
-    per_block = max(1, _ATOM_BLOCK // int(inner_n))
-    for b, lo in enumerate(range(0, n_at, per_block)):
-        hi = min(n_at, lo + per_block)
-        starts = np.repeat(atoms[lo:hi], inner_n)
-        ends = simulate_ensemble(model, starts, t, stream.substream(b))
-        vals = np.asarray(f(ends), dtype=float).reshape(hi - lo, inner_n)
-        means[lo:hi] = vals.mean(axis=1)
-        ivars[lo:hi] = vals.var(axis=1, ddof=1)
-    return means, ivars
-
-
 def variance_of_semigroup(
-    model: Model, f: TestFunction, mu_hat: EmpiricalMeasure, t: float,
-    inner_n: int, stream: RandomStream,
-) -> Estimate:
-    """Variance of the time-t conditional mean of f under the atom measure.
+    model: Model, f: TestFunction, mu_hat: EmpiricalMeasure, times,
+    inner_n: int, stream: RandomStream, workers: int = 1,
+) -> list[Estimate]:
+    """Variance of the time-t conditional mean of f under the atom measure,
+    one estimate per time of the grid (the points share inner paths).
 
     Nested Monte Carlo with the upward inner-noise bias removed: the
     squared spread of inner means overshoots by the mean inner sampling
     variance over the inner replication count.
     """
-    if inner_n < 2:
-        raise ValueError("need at least two inner replications")
+    times = np.asarray(times, dtype=float)
     w = mu_hat.weights
-    if t == 0:
+    means, ivars = nested_grid_statistics(model, [f.f], mu_hat.values, times[times > 0],
+                                          inner_n, stream.spawn(), workers=workers)
+    out = []
+    if times[0] == 0:
         vals = np.asarray(f.f(mu_hat.values), dtype=float)
-        m = float(np.dot(w, vals))
-        return Estimate(float(np.dot(w, (vals - m) ** 2)), 0.0)
-    means, ivars = semigroup_inner_statistics(model, f.f, mu_hat.values, t, inner_n, stream.spawn())
-    m = float(np.dot(w, means))
-    infl = (means - m) ** 2 - ivars / inner_n
-    value = float(np.dot(w, infl))
-    se = float(np.sqrt(np.dot(w ** 2, (infl - value) ** 2)))
-    return Estimate(value, se)
-
-
-def _coupled_gradients(model, f, atoms, bumps, t, inner_n, stream):
-    """Per-atom central-difference gradient means and paired variances.
-
-    Both bump ensembles replay one mark sequence (common random numbers).
-    """
-    n_at = atoms.size
-    gmean = np.empty(n_at)
-    gvar = np.empty(n_at)
-    per_block = max(1, _ATOM_BLOCK // (2 * int(inner_n)))
-    for b, lo in enumerate(range(0, n_at, per_block)):
-        hi = min(n_at, lo + per_block)
-        node = stream.substream(b)
-        up_starts = np.repeat(atoms[lo:hi] + bumps[lo:hi], inner_n)
-        dn_starts = np.repeat(atoms[lo:hi] - bumps[lo:hi], inner_n)
-        up = simulate_ensemble(model, up_starts, t, node)
-        dn = simulate_ensemble(model, dn_starts, t, node)
-        d = (np.asarray(f(up), dtype=float) - np.asarray(f(dn), dtype=float))
-        d = d.reshape(hi - lo, inner_n) / (2.0 * bumps[lo:hi, None])
-        gmean[lo:hi] = d.mean(axis=1)
-        gvar[lo:hi] = d.var(axis=1, ddof=1)
-    return gmean, gvar
+        out.append(Estimate(float(np.dot(w, (vals - np.dot(w, vals)) ** 2)), 0.0))
+    for mt, vt in zip(means[0], ivars[0]):
+        infl = (mt - np.dot(w, mt)) ** 2 - vt / inner_n
+        value = float(np.dot(w, infl))
+        out.append(Estimate(value, float(np.sqrt(np.dot(w ** 2, (infl - value) ** 2)))))
+    return out
 
 
 def energy_W(
@@ -275,14 +232,10 @@ def energy_W(
     if t == 0:
         dv = np.asarray(f.df(mu_hat.values), dtype=float)
         return Estimate(float(np.dot(w, a_vals * dv * dv)), 0.0)
-    if inner_n < 2:
-        raise ValueError("need at least two inner replications")
     atoms = mu_hat.values
-    bumps = np.full(atoms.shape, h, dtype=float) if h is not None else \
-        1e-4 * np.maximum(1.0, np.abs(atoms))
-    if np.any(atoms - bumps < model.domain_low) or np.any(atoms + bumps > model.domain_high):
-        raise DomainError("bumped atoms leave the model domain")
-    gmean, gvar = _coupled_gradients(model, f.f, atoms, bumps, t, inner_n, stream.spawn())
+    bumps = default_bump(atoms) if h is None else np.full(atoms.shape, h, dtype=float)
+    gmean, gvar = (a[0, 0] for a in nested_grid_statistics(
+        model, [f.f], atoms, [t], inner_n, stream.spawn(), bumps=bumps))
     infl = a_vals * (gmean ** 2 - gvar / inner_n)
     value = float(np.dot(w, infl))
     se = float(np.sqrt(np.dot(w ** 2, (infl - value) ** 2)))

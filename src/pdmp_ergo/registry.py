@@ -35,7 +35,8 @@ class ModelRecord:
     """``verify`` names the decay measurement of the verify experiment (w1,
     energy, entropy or variance); ``check`` returns one more (name, ok,
     detail) certify assertion; ``params`` holds (field, rule) pairs the config
-    parser enforces for this model on top of the field's own rule."""
+    parser enforces for this model on top of the field's own rule;
+    ``relation`` says what is wrong with a combination of fields, or None."""
 
     build: Callable[[RunConfig], Model]
     certificate: Callable[[RunConfig, Model], tuple]
@@ -43,6 +44,7 @@ class ModelRecord:
     inequality: Optional[InequalitySpec] = None
     check: Optional[Callable[[RunConfig, dict], tuple]] = None
     params: tuple = ()
+    relation: Optional[Callable[[RunConfig], Optional[str]]] = None
 
     def supports(self, experiment: str) -> bool:
         return experiment != "inequality" or self.inequality is not None
@@ -100,6 +102,12 @@ def _twisted_certificate(config, model):
     return list(c.ledger), {"logsob_c": c.weighted_logsob_c, "rate_r": c.rate_r}
 
 
+def _kappa_floor(c):
+    # kappa bounds the log slope rate_slope/(lambda_star + rate_slope*x), top at x = 0
+    if c.kappa is not None and c.kappa < c.rate_slope / c.lambda_star:
+        return f"kappa must be at least rate_slope/lambda_star = {c.rate_slope / c.lambda_star:.6g}"
+
+
 def _closed_form_check(config, bounds):
     closed = 4.0 / (config.rate ** 2 * (1.0 - config.delta ** 2))
     got = bounds["poincare_c"]
@@ -137,6 +145,7 @@ REGISTRY = {
         inequality=InequalitySpec(2.0, "poincare_c"),
         # the certificate needs a contracting jump and a rising rate
         params=(("delta", "be positive"), ("kappa", "be positive")),
+        relation=_kappa_floor,
     ),
     # no inequality certificate: the pre-jump kernel spreads mass
     "storage": ModelRecord(

@@ -245,9 +245,9 @@ def test_c8_entropy_decay_pipeline(linear_model, linear_chain):
     times = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
     empirical_ok = True
     detail = []
-    for k, tf in enumerate([X_FN, TestFunction(np.sin, np.cos, "sin(x)")]):
-        series = entropy_decay_series(linear_model, tf, mu, times, 1000,
-                                      master.substream(k + 1))
+    tfs = [X_FN, TestFunction(np.sin, np.cos, "sin(x)")]
+    all_series = entropy_decay_series(linear_model, tfs, mu, times, 1000, master.substream(1))
+    for tf, series in zip(tfs, all_series):
         energy0 = mu.expectation(lambda x: np.asarray(tf.df(x), dtype=float) ** 2)
         for t, value, se in series:
             bound = cert.entropy_c * math.exp(-cert.rate_r * t) * energy0 + 3 * se

@@ -3,10 +3,12 @@ import os
 
 import pytest
 
+from pdmp_ergo import core
 from pdmp_ergo.cli import main
 from pdmp_ergo.config import (EXPERIMENTS, ConfigError, RunConfig, parse_config,
                               parse_config_text, serialize)
 from pdmp_ergo.experiments import _VERIFY_ROUTES, build_model
+from pdmp_ergo.models import make_affine_rate_tcp
 from pdmp_ergo.registry import REGISTRY
 
 MINIMAL = """
@@ -67,12 +69,26 @@ def test_non_finite_number_rejected(line):
 
 @pytest.mark.parametrize("line,message", [
     ("delta = 0", "delta must be positive"), ("kappa = 0", "kappa must be positive"),
+    ("kappa = 0.5", "kappa must be at least rate_slope/lambda_star = 1"),
 ])
 def test_model_parameter_rule_rejected(line, message):
     with pytest.raises(ConfigError) as err:
         parse_config_text(f"model = tcp_increasing\n{line}\n", origin="run.cfg")
     assert f"run.cfg: model tcp_increasing: {message}" in str(err.value)
     assert parse_config_text(f"model = tcp_linear\n{line}\n")
+
+
+@pytest.mark.parametrize("lambda_star,rate_slope", [(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)])
+def test_kappa_floor_is_the_affine_log_slope(lambda_star, rate_slope):
+    floor = rate_slope / lambda_star
+    text = (f"model = tcp_increasing\nlambda_star = {lambda_star!r}\n"
+            f"rate_slope = {rate_slope!r}\nkappa = ")
+    assert build_model(parse_config_text(text + repr(floor))).name == "tcp_increasing"
+    with pytest.raises(ConfigError, match="kappa must be at least rate_slope/lambda_star"):
+        parse_config_text(text + repr(floor * (1 - 1e-9)))
+    # well below the floor the model's own grid check fails as well
+    with pytest.raises(ValueError, match="log-rate slope exceeds kappa"):
+        make_affine_rate_tcp(lambda_star, rate_slope, 0.5, 0.9 * floor)
 
 
 def test_missing_model():
@@ -94,7 +110,7 @@ def test_serialize_roundtrip():
 
 
 def test_serialize_roundtrip_with_kappa():
-    cfg = RunConfig(model="tcp_increasing", kappa=0.25, time_grid=(0.0, 1.5, 3.0))
+    cfg = RunConfig(model="tcp_increasing", kappa=1.25, time_grid=(0.0, 1.5, 3.0))
     assert parse_config_text(serialize(cfg)) == cfg
 
 
@@ -153,6 +169,22 @@ def test_cli_worker_count_invariance(tmp_path):
             assert filecmp.cmp(fa, fb, shallow=False), (fa, fb)
 
 
+@pytest.mark.parametrize("model", ["tcp_linear", "tcp_increasing"])
+def test_cli_nested_worker_invariance_over_atom_blocks(tmp_path, monkeypatch, model):
+    # 300 atoms x 16 inner paths in blocks of 100 atoms: three blocks
+    monkeypatch.setattr(core, "_ATOM_BLOCK", 1600)
+    body = (f"model = {model}\nseed = 5\nn_outer = 300\nn_inner = 16\n"
+            "chain_length = 3000\nburn_in = 200\ntime_grid = 0,0.5,1,2\n")
+    cfg = write_config(tmp_path, "run.cfg", body)
+    runs = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"w{workers}")
+        code = main(["verify", "--config", cfg, "--out", out, "--workers", workers])
+        runs.append((code, open(os.path.join(out, "verify", "series.csv"), "rb").read()))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1].splitlines()) > 4
+
+
 def test_cli_seed_override_changes_outputs(tmp_path):
     cfg = write_config(tmp_path, "run.cfg", SMALL_RUN)
     out_a, out_b = str(tmp_path / "s1"), str(tmp_path / "s2")
@@ -200,6 +232,22 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     out = str(tmp_path / "zero")
     assert main(["certify", "--config", cfg, "--out", out]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # an explicit kappa below the affine rate's log slope at x = 0
+    cfg = write_config(tmp_path, "kappa.cfg", "model = tcp_increasing\nkappa = 0.5\n")
+    out = str(tmp_path / "kappa")
+    assert main(["certify", "--config", cfg, "--out", out]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("model", ["tcp_linear", "tcp_increasing"])
+def test_cli_single_inner_replication_is_a_config_error(tmp_path, capsys, model):
+    # one inner path has no inner variance, so no honest standard error
+    cfg = write_config(tmp_path, "run.cfg", f"model = {model}\nn_inner = 1\n")
+    out = str(tmp_path / "one")
+    assert main(["verify", "--config", cfg, "--out", out]) == 2
+    assert "n_inner must be at least 2" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -259,6 +307,24 @@ def test_cli_linear_verify_entropy_path(tmp_path):
     assert "STATUS: PASS" in report
     series = open(os.path.join(out, "verify", "series.csv")).read().splitlines()
     assert series[0] == "t,value,std_error" and len(series) == 7  # 2 functions x 3 times
+
+
+def test_verify_entropy_fails_non_finite_error(tmp_path, monkeypatch):
+    from pdmp_ergo import experiments
+    real = experiments.entropy_decay_series
+
+    def nan_errors(*args, **kwargs):
+        return [[(t, v, float("nan")) for t, v, _ in rows] for rows in real(*args, **kwargs)]
+
+    monkeypatch.setattr(experiments, "entropy_decay_series", nan_errors)
+    body = ("model = tcp_linear\nseed = 19\nn_outer = 200\nn_inner = 8\n"
+            "chain_length = 2000\nburn_in = 200\ntime_grid = 0,1\n")
+    cfg = write_config(tmp_path, "run.cfg", body)
+    out = str(tmp_path / "nan")
+    assert main(["verify", "--config", cfg, "--out", out]) == 1
+    report = open(os.path.join(out, "verify", "report.txt")).read()
+    assert "FAIL entropy_decay_certified_x" in report
+    assert "STATUS: FAIL" in report
 
 
 def test_cli_increasing_simulate_grouped_reconstruction(tmp_path):

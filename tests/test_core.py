@@ -1,10 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from pdmp_ergo import core
 from pdmp_ergo.core import (DomainError, gradient_semigroup_estimate,
-                            sample_jump_time, semigroup_estimate,
-                            simulate_ensemble, simulate_path)
+                            nested_grid_statistics, sample_jump_time,
+                            semigroup_estimate, simulate_ensemble, simulate_path)
 from pdmp_ergo.models import (StorageParams, TcpConstantParams, TcpIncreasingParams,
                               TcpLinearParams, exponential_increment,
                               make_storage, make_tcp_constant,
@@ -198,6 +201,54 @@ def test_semigroup_long_run_reaches_invariant_mean():
     model = make_tcp_constant(TcpConstantParams(rate=1.0, delta=0.5))
     est = semigroup_estimate(model, lambda x: x, 0.0, 20.0, 100_000, RandomStream(4))
     assert abs(est.value - 2.0) <= 3 * est.std_error
+
+
+def test_nested_grid_means_match_independent_runs():
+    # the grid core advances one ensemble across the grid; at every time its
+    # atom-averaged means must agree with a fresh ensemble run from time 0
+    model = make_tcp_linear(TcpLinearParams(0.5))
+    atoms = np.linspace(0.2, 4.0, 200)
+    times = [0.5, 1.0, 2.0, 3.0]
+    fs = [lambda x: x, np.sin]
+    inner = 64
+    means, ivars = nested_grid_statistics(model, fs, atoms, times, inner, RandomStream(11))
+    assert means.shape == ivars.shape == (2, 4, 200)
+    for j, t in enumerate(times):
+        ends = simulate_ensemble(model, np.repeat(atoms, inner), t, RandomStream(12).substream(j))
+        for i, f in enumerate(fs):
+            vals = f(ends).reshape(atoms.size, inner)
+            se = np.sqrt(ivars[i, j].sum() + vals.var(axis=1, ddof=1).sum()) \
+                / (atoms.size * np.sqrt(inner))
+            assert abs(means[i, j].mean() - vals.mean()) <= 3 * se
+
+
+def test_nested_grid_twins_replay_one_node():
+    # storage twins jump together, so the difference quotient is exact
+    model = make_storage(StorageParams(1.0, exponential_increment(1.0)))
+    atoms = np.array([0.5, 1.0, 2.0])
+    means, ivars = nested_grid_statistics(model, [lambda x: x], atoms, [0.5, 1.0, 2.0], 32,
+                                          RandomStream(3), bumps=np.full(3, 1e-4))
+    expect = np.exp(-np.array([0.5, 1.0, 2.0]))[:, None] * np.ones(atoms.size)
+    np.testing.assert_allclose(means[0], expect, rtol=1e-9)
+    assert np.all(ivars <= 1e-18)
+
+
+def test_nested_grid_threads_match_serial(monkeypatch):
+    # eight atom blocks on more threads than cores write disjoint slices
+    # of shared arrays; a lost or misplaced write changes the result
+    monkeypatch.setattr(core, "_ATOM_BLOCK", 80)
+    model = make_tcp_linear(TcpLinearParams(0.5))
+    atoms = np.linspace(0.1, 3.0, 80)
+    args = (model, [lambda x: x, np.sin], atoms, [0.5, 1.0], 8, RandomStream(4))
+    serial = nested_grid_statistics(*args)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = nested_grid_statistics(*args, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_gradient_affine_exact_at_time_zero():

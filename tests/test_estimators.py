@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdmp_ergo.certificates import certify_tcp_constant
+from pdmp_ergo.core import nested_grid_statistics
 from pdmp_ergo.embedded import EmpiricalMeasure, chain_invariant_sample, reconstruct_mu
 from pdmp_ergo.estimators import (TestFunction, default_family,
                                   empirical_inequality_ratio, energy_W,
@@ -14,8 +15,8 @@ from pdmp_ergo.estimators import (TestFunction, default_family,
                                   inequality_details, variance_of_semigroup,
                                   wasserstein_1d)
 from pdmp_ergo.models import (StorageParams, TcpConstantParams, TcpLinearParams,
-                              exponential_increment, make_storage,
-                              make_tcp_constant, make_tcp_linear)
+                              exponential_increment, make_affine_rate_tcp,
+                              make_storage, make_tcp_constant, make_tcp_linear)
 from pdmp_ergo.rng import RandomStream
 
 X_FN = TestFunction(lambda x: x, lambda x: np.ones_like(np.asarray(x, dtype=float)), "x")
@@ -174,7 +175,7 @@ def test_variance_constant_function_zero():
     mu = uniform_measure(np.linspace(0.1, 3.0, 64))
     tf = TestFunction(lambda x: np.full_like(np.asarray(x, dtype=float), 2.0),
                       lambda x: np.zeros_like(np.asarray(x, dtype=float)), "const")
-    est = variance_of_semigroup(model, tf, mu, 1.0, 16, RandomStream(3))
+    est, = variance_of_semigroup(model, tf, mu, [1.0], 16, RandomStream(3))
     assert abs(est.value) <= 1e-12
 
 
@@ -182,7 +183,7 @@ def test_variance_time_zero_is_sample_variance():
     model = make_tcp_constant(TcpConstantParams(rate=1.0, delta=0.5))
     vals = np.abs(RandomStream(5).normal(500))
     mu = uniform_measure(vals)
-    est = variance_of_semigroup(model, X_FN, mu, 0.0, 2, RandomStream(3))
+    est, = variance_of_semigroup(model, X_FN, mu, [0.0], 2, RandomStream(3))
     assert est.value == pytest.approx(float(vals.var()), rel=1e-12)
     assert est.std_error == 0.0
 
@@ -195,13 +196,12 @@ def test_variance_bias_correction_against_affine_truth():
     mu = uniform_measure(RandomStream(71).exponential(2000) * 1.5)
     t = 1.0
     truth = np.exp(-2 * 0.5 * t) * float(mu.var())
-    est = variance_of_semigroup(model, X_FN, mu, t, 96, RandomStream(72))
+    est, = variance_of_semigroup(model, X_FN, mu, [t], 96, RandomStream(72))
     assert abs(est.value - truth) <= 3 * est.std_error
     # without the correction the estimator overshoots by the mean inner
     # sampling variance over the inner count; the gap must be visible
-    from pdmp_ergo.estimators import semigroup_inner_statistics
-    means, ivars = semigroup_inner_statistics(
-        model, X_FN.f, mu.values, t, 96, RandomStream(72).spawn())
+    means, ivars = (a[0, 0] for a in nested_grid_statistics(
+        model, [X_FN.f], mu.values, [t], 96, RandomStream(72).spawn()))
     naive = float(np.dot(mu.weights, (means - np.dot(mu.weights, means)) ** 2))
     assert naive - est.value >= 0.5 * float(ivars.mean()) / 96
 
@@ -211,13 +211,41 @@ def test_variance_decay_at_least_certified_rate():
     cert = certify_tcp_constant(1.0, 0.5)
     chain = chain_invariant_sample(model, 4096, stream=RandomStream(6))
     mu = reconstruct_mu(model, chain, RandomStream(7))
-    series = []
-    master = RandomStream(8)
-    for j, t in enumerate([0.0, 0.75, 1.5, 2.25, 3.0]):
-        est = variance_of_semigroup(model, X_FN, mu, t, 128, master.substream(j))
-        series.append((t, est.value, est.std_error))
+    times = [0.0, 0.75, 1.5, 2.25, 3.0]
+    estimates = variance_of_semigroup(model, X_FN, mu, times, 128, RandomStream(8))
+    series = [(t, *est) for t, est in zip(times, estimates)]
     fit = fit_decay_rate(series)
     assert fit.fitted_rate >= cert.l2_rate - 3 * fit.rate_std_error
+
+
+def test_variance_series_rate_error_is_honest():
+    # the grid points share inner paths, so they are correlated; the fitted
+    # rate's spread across seeds must still match its reported error
+    model = make_affine_rate_tcp(1.0, 1.0, 0.5)
+    times = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    rates, errors = [], []
+    for seed in range(12):
+        master = RandomStream(seed)
+        chain = chain_invariant_sample(model, 2000, 1000, 1, master.substream(1))
+        mu = reconstruct_mu(model, chain, master.substream(2))
+        estimates = variance_of_semigroup(model, X_FN, mu, times, 50, master.substream(3))
+        fit = fit_decay_rate([(t, *est) for t, est in zip(times, estimates)])
+        rates.append(fit.fitted_rate)
+        errors.append(fit.rate_std_error)
+    assert np.std(rates, ddof=1) <= 1.5 * np.median(errors)
+
+
+def test_nested_routes_need_two_inner_replications():
+    from pdmp_ergo.experiments import entropy_decay_series
+    mu = uniform_measure(np.linspace(0.2, 3.0, 16))
+    increasing = make_affine_rate_tcp(1.0, 1.0, 0.5)
+    linear = make_tcp_linear(TcpLinearParams(0.5))
+    with pytest.raises(ValueError, match="two inner replications"):
+        variance_of_semigroup(increasing, X_FN, mu, [0.0, 1.0], 1, RandomStream(0))
+    with pytest.raises(ValueError, match="two inner replications"):
+        entropy_decay_series(linear, [X_FN], mu, [0.0, 1.0], 1, RandomStream(0))
+    with pytest.raises(ValueError, match="two inner replications"):
+        energy_W(linear, X_FN, mu, 1.0, 1, RandomStream(0))
 
 
 def test_energy_time_zero_exact():
