@@ -37,15 +37,20 @@ __all__ = [
 ]
 
 _WEIGHT_TOL = 1e-12
+_CSV_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted, sorted sample representation of a probability measure."""
+    """Weighted, sorted sample representation of a probability measure.
+
+    ``provenance`` names where the atoms came from; only a ``"chain"``
+    measure (embedded-chain states) may be reconstructed.
+    """
 
     values: np.ndarray
     weights: np.ndarray
-    provenance: str = "chain"
+    provenance: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -62,7 +67,7 @@ class EmpiricalMeasure:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def from_samples(cls, samples, weights=None, provenance: str = "chain"):
+    def from_samples(cls, samples, weights=None, *, provenance: str):
         samples = np.ravel(np.asarray(samples, dtype=float))
         if weights is None:
             weights = np.full(samples.size, 1.0 / samples.size)
@@ -95,16 +100,19 @@ class EmpiricalMeasure:
         return float(np.sqrt(np.dot(self.weights ** 2, (self.values - m) ** 2)))
 
     def to_csv(self, path):
+        rows = np.column_stack((self.values, self.weights))
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("value,weight\n")
-            for v, w in zip(self.values, self.weights):
-                fh.write(f"{v:.17g},{w:.17g}\n")
+            # one % call per block of rows: faster than a write per row,
+            # and the formatted text stays small
+            for block in np.split(rows, np.arange(_CSV_BLOCK, self.size, _CSV_BLOCK)):
+                fh.write(("%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
-    def read_csv(cls, path, provenance: str = "chain"):
+    def read_csv(cls, path, provenance: str):
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
         data = np.atleast_2d(data)
-        return cls.from_samples(data[:, 0], data[:, 1], provenance)
+        return cls.from_samples(data[:, 0], data[:, 1], provenance=provenance)
 
 
 def kernel_K_sample(model: Model, x, stream: RandomStream):
@@ -245,24 +253,47 @@ def _h_values(model: Model, xs):
     return np.array([h_function(model, float(x)) for x in np.asarray(xs, dtype=float)])
 
 
+def _resample_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``clip(searchsorted(cum, u, "right"), 0, n - 1)`` for a nondecreasing
+    ``cum`` of n entries, found by stepping from the guess ``floor(u n)``.
+
+    The result is exact for any such ``cum``; the stepping is short only
+    when ``cum[i]`` stays within a few steps of ``(i + 1) / n``, as for the
+    cumulative sum of equal weights.
+    """
+    n = cum.size
+    idx = np.minimum((u * n).astype(np.intp), n - 1)
+    move = np.flatnonzero((idx < n - 1) & (cum[idx] <= u))
+    while move.size:
+        idx[move] += 1
+        move = move[(idx[move] < n - 1) & (cum[idx[move]] <= u[move])]
+    move = np.flatnonzero((idx > 0) & (cum[idx - 1] > u))
+    while move.size:
+        idx[move] -= 1
+        move = move[(idx[move] > 0) & (cum[idx[move] - 1] > u[move])]
+    return idx
+
+
 def normaliser_estimate(model: Model, chain_measure: EmpiricalMeasure,
                         stream: RandomStream, n_boot: int = 64) -> Estimate:
     """Reconstruction normalising constant (chain mean of the mean residual
     normaliser) with a bootstrap standard error.
 
     The constant has no closed form for general rates, so the uncertainty
-    is reported by resampling the chain atoms.
+    is reported by resampling the chain atoms, which carry equal weights;
+    a measure with unequal weights raises ``ValueError``.
     """
-    hv = _h_values(model, chain_measure.values)
     w = chain_measure.weights
+    if np.any(w != w[0]):
+        raise ValueError("the bootstrap resamples equally weighted chain atoms")
+    hv = _h_values(model, chain_measure.values)
     value = float(np.dot(w, hv))
     cum = np.cumsum(w)
     node = stream.spawn()
     boots = np.empty(n_boot)
     for b in range(n_boot):
         u = node.substream(b).uniform(hv.size)
-        idx = np.clip(np.searchsorted(cum, u, side="right"), 0, hv.size - 1)
-        boots[b] = hv[idx].mean()
+        boots[b] = hv[_resample_indices(cum, u)].mean()
     return Estimate(value, float(boots.std(ddof=1)))
 
 

@@ -234,8 +234,8 @@ def _verify_w1(config, model, master, bounds, report):
         hi = simulate_ensemble(model, np.full(n, 2.0), t, node)
         value = wasserstein_1d(
             1.0,
-            EmpiricalMeasure.from_samples(lo, provenance="chain"),
-            EmpiricalMeasure.from_samples(hi, provenance="chain"),
+            EmpiricalMeasure.from_samples(lo, provenance="ensemble"),
+            EmpiricalMeasure.from_samples(hi, provenance="ensemble"),
         )
         m = (n // n_blocks) * n_blocks
         blo = np.sort(lo[:m].reshape(n_blocks, -1), axis=1)
@@ -258,7 +258,7 @@ def _verify_w1(config, model, master, bounds, report):
 
 
 def _verify_energy(config, model, master, bounds, report):
-    atoms = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0], provenance="chain")
+    atoms = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0], provenance="atoms")
     tf = family_by_labels(["x"])[0]
     series = _time_series(config, lambda j, t: energy_W(
         model, tf, atoms, t, config.n_inner, master.substream(20 + j)))

@@ -123,8 +123,8 @@ def test_c3_wasserstein_decay(constant_model):
         lo = simulate_ensemble(constant_model, np.zeros(n), float(t), node)
         hi = simulate_ensemble(constant_model, np.full(n, 2.0), float(t), node)
         value = wasserstein_1d(1.0,
-                               EmpiricalMeasure.from_samples(lo),
-                               EmpiricalMeasure.from_samples(hi))
+                               EmpiricalMeasure.from_samples(lo, provenance="ensemble"),
+                               EmpiricalMeasure.from_samples(hi, provenance="ensemble"))
         blocks = 20
         blo = np.sort(lo.reshape(blocks, -1), axis=1)
         bhi = np.sort(hi.reshape(blocks, -1), axis=1)
@@ -155,7 +155,7 @@ def test_c4_storage_exactness():
         err = abs(est.value - math.exp(-t))
         worst = max(worst, err, est.std_error)
         coupling_ok &= err <= 1e-11 and est.std_error <= 1e-11
-    atoms = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0])
+    atoms = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0], provenance="atoms")
     series = []
     for j, t in enumerate(np.arange(0.0, 3.1, 0.5)):
         est = energy_W(model, X_FN, atoms, float(t), 64, master.substream(j))
@@ -272,8 +272,8 @@ def test_c9_property_suites(tmp_path):
         a = rng.normal(size=5) * 2.0
         b = rng.normal(size=5) + 0.5
         best = min(np.mean(np.abs(a - b[list(p)])) for p in itertools.permutations(range(5)))
-        got = wasserstein_1d(1.0, EmpiricalMeasure.from_samples(a),
-                             EmpiricalMeasure.from_samples(b))
+        got = wasserstein_1d(1.0, EmpiricalMeasure.from_samples(a, provenance="atoms"),
+                             EmpiricalMeasure.from_samples(b, provenance="atoms"))
         w1_ok &= abs(got - best) <= 1e-12 * max(1.0, best)
 
     ent_ok = True

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from pdmp_ergo.embedded import (EmpiricalMeasure, chain_invariant_sample,
-                                chain_sample_matrix, chain_step, h_function,
-                                kernel_K_sample, kernel_Ktilde_sample,
-                                reconstruct_mu, time_average_states)
+from pdmp_ergo.core import Estimate
+from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, _resample_indices,
+                                chain_invariant_sample, chain_sample_matrix, chain_step,
+                                h_function, kernel_K_sample, kernel_Ktilde_sample,
+                                normaliser_estimate, reconstruct_mu, time_average_states)
 from pdmp_ergo.models import (TcpConstantParams, TcpLinearParams,
                               make_tcp_constant, make_tcp_linear)
 from pdmp_ergo.rng import RandomStream
@@ -24,13 +25,13 @@ def linear_model(delta=0.5):
 # ---------------------------------------------------------------------------
 
 def test_measure_invariants():
-    m = EmpiricalMeasure.from_samples([3.0, 1.0, 2.0])
+    m = EmpiricalMeasure.from_samples([3.0, 1.0, 2.0], provenance="atoms")
     assert np.all(np.diff(m.values) >= 0)
     assert m.weights.sum() == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
+        EmpiricalMeasure(np.array([2.0, 1.0]), np.array([0.5, 0.5]), "atoms")
     with pytest.raises(ValueError):
-        EmpiricalMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.4]))
+        EmpiricalMeasure(np.array([1.0, 2.0]), np.array([0.5, 0.4]), "atoms")
 
 
 def test_measure_csv_roundtrip(tmp_path):
@@ -38,11 +39,23 @@ def test_measure_csv_roundtrip(tmp_path):
         np.exp(RandomStream(1).normal(257)), provenance="chain")
     path = tmp_path / "measure.csv"
     m.to_csv(path)
-    back = EmpiricalMeasure.read_csv(path)
+    back = EmpiricalMeasure.read_csv(path, "chain")
     assert np.array_equal(back.values, m.values)
     assert np.allclose(back.weights, m.weights, atol=1e-15)
     header = path.read_text().splitlines()[0]
     assert header == "value,weight"
+
+
+@pytest.mark.parametrize("n", [1, _CSV_BLOCK, 2 * _CSV_BLOCK + 1])
+def test_measure_csv_matches_row_by_row_text(tmp_path, n):
+    rng = np.random.default_rng(n)
+    values = np.exp(30.0 * rng.normal(size=n))
+    values[0] = 0.0
+    m = EmpiricalMeasure.from_samples(values, rng.random(n) + 0.01, provenance="reweighted")
+    path = tmp_path / "measure.csv"
+    m.to_csv(path)
+    rows = "".join(f"{v:.17g},{w:.17g}\n" for v, w in zip(m.values, m.weights))
+    assert path.read_text(encoding="utf-8") == "value,weight\n" + rows
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +211,10 @@ def test_h_divergence_detected():
 # ---------------------------------------------------------------------------
 
 def test_reconstruct_requires_chain_tag():
-    m = EmpiricalMeasure.from_samples([1.0, 2.0], provenance="reweighted")
-    with pytest.raises(ValueError):
-        reconstruct_mu(constant_model(), m, RandomStream(0))
+    for tag in ("reweighted", "ensemble", "atoms"):
+        m = EmpiricalMeasure.from_samples([1.0, 2.0], provenance=tag)
+        with pytest.raises(ValueError):
+            reconstruct_mu(constant_model(), m, RandomStream(0))
 
 
 def test_reconstruct_constant_rate_weights_unchanged():
@@ -233,7 +247,6 @@ def test_two_estimator_consistency_constant_rate():
 
 
 def test_normaliser_constant_rate_exact():
-    from pdmp_ergo.embedded import normaliser_estimate
     model = constant_model(rate=2.0)
     chain = chain_invariant_sample(model, 5000, stream=RandomStream(40))
     est = normaliser_estimate(model, chain, RandomStream(41))
@@ -242,13 +255,56 @@ def test_normaliser_constant_rate_exact():
 
 
 def test_normaliser_linear_rate_bootstrap():
-    from pdmp_ergo.embedded import normaliser_estimate
     model = linear_model()
     chain = chain_invariant_sample(model, 50_000, stream=RandomStream(42))
     est = normaliser_estimate(model, chain, RandomStream(43))
     # mean of a positive decreasing function bounded by its value at zero
     assert 0.0 < est.value < np.sqrt(np.pi / 2.0)
     assert 0.0 < est.std_error < 0.01
+
+
+@pytest.mark.parametrize("n", [1, 3, 7, 1000, 100_003])
+def test_resample_indices_match_binary_search(n):
+    rng = np.random.default_rng(n)
+    equal = np.cumsum(np.full(n, 1.0 / n))
+    # zero weights make ties, so the steps from the guess run long
+    uneven = np.cumsum(np.r_[rng.integers(0, 3, n - 1), 1.0])
+    # the second cumsum ends short of one, so (cum[-1], 1) holds draws
+    for cum in (equal, equal * (1.0 - 2.0 ** -30), uneven / uneven[-1]):
+        at = cum[np.unique(np.r_[0, n - 1, rng.integers(0, n, 20)])]
+        top = cum[-1] + (1.0 - cum[-1]) * rng.random(8)
+        u = np.concatenate([rng.random(5000), at, np.nextafter(at, 0.0), top[top < 1.0], [0.0]])
+        expected = np.clip(np.searchsorted(cum, u, side="right"), 0, n - 1)
+        assert np.array_equal(_resample_indices(cum, u), expected)
+
+
+def _searchsorted_normaliser(model, chain_measure, stream, n_boot=64):
+    """The bootstrap with resample indices drawn by binary search."""
+    hv = np.asarray(h_function(model, chain_measure.values), dtype=float)
+    w = chain_measure.weights
+    value = float(np.dot(w, hv))
+    cum = np.cumsum(w)
+    node = stream.spawn()
+    boots = np.empty(n_boot)
+    for b in range(n_boot):
+        u = node.substream(b).uniform(hv.size)
+        idx = np.clip(np.searchsorted(cum, u, side="right"), 0, hv.size - 1)
+        boots[b] = hv[idx].mean()
+    return Estimate(value, float(boots.std(ddof=1)))
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_normaliser_bootstrap_matches_binary_search(seed):
+    model = linear_model()
+    chain = chain_invariant_sample(model, 30_000, stream=RandomStream(seed))
+    got = normaliser_estimate(model, chain, RandomStream(seed).substream(4))
+    assert got == _searchsorted_normaliser(model, chain, RandomStream(seed).substream(4))
+
+
+def test_normaliser_rejects_unequal_weights():
+    chain = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0], [0.2, 0.3, 0.5], provenance="chain")
+    with pytest.raises(ValueError):
+        normaliser_estimate(linear_model(), chain, RandomStream(0))
 
 
 def test_two_estimator_consistency_linear_rate():

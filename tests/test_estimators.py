@@ -23,7 +23,7 @@ X_FN = TestFunction(lambda x: x, lambda x: np.ones_like(np.asarray(x, dtype=floa
 
 
 def uniform_measure(values):
-    return EmpiricalMeasure.from_samples(values)
+    return EmpiricalMeasure.from_samples(values, provenance="atoms")
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +136,8 @@ def test_wasserstein_matches_brute_force_assignment():
 
 
 def test_wasserstein_weighted_partition():
-    a = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]))
-    b = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.75, 0.25]))
+    a = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.25, 0.75]), "atoms")
+    b = EmpiricalMeasure(np.array([0.0, 1.0]), np.array([0.75, 0.25]), "atoms")
     assert wasserstein_1d(1.0, a, b) == pytest.approx(0.5, rel=1e-14)
 
 
