@@ -17,8 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate, optimize
 
-from .models import linear_h
-
 __all__ = [
     "BalanceSpec",
     "ConfiningProfile",
@@ -550,7 +548,7 @@ class TcpLinearCertificate:
     ledger: list
 
 
-def certify_tcp_linear(delta: float, stream=None, n_chain: int = 0) -> TcpLinearCertificate:
+def certify_tcp_linear(delta: float) -> TcpLinearCertificate:
     """End-to-end entropy-decay certificate for the linear-rate model.
 
     Pipeline: xlogx constant of the twisted chain's invariant law, the
@@ -558,9 +556,7 @@ def certify_tcp_linear(delta: float, stream=None, n_chain: int = 0) -> TcpLinear
     (epsilon fixed at one half, where the reciprocal mean has an analytic
     bound), push through the length-biased kernel to the weighted xlogx
     constant for the process law, then optimise the mixing parameter of
-    the energy/variance decay.  All bounds are analytic; if a stream is
-    supplied, Monte Carlo estimates of the perturbation normaliser are
-    appended to the ledger for audit (they never enter the constants).
+    the energy/variance decay.  All bounds are analytic.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0,1)")
@@ -595,17 +591,6 @@ def certify_tcp_linear(delta: float, stream=None, n_chain: int = 0) -> TcpLinear
         ("rate_r", rate_r, "((1-delta) theta - 1/beta)/(1 + beta c1)"),
         ("entropy_c", entropy_c, "weighted xlogx constant times the mixing prefactor"),
     ]
-    if stream is not None and n_chain > 0:
-        from .embedded import chain_invariant_sample
-        from .models import TcpLinearParams, make_tcp_linear
-        chain = chain_invariant_sample(make_tcp_linear(TcpLinearParams(delta)),
-                                       n_chain, stream=stream)
-        hv = linear_h(chain.values)
-        w = chain.weights
-        for label, vals in (("normaliser_mc", hv), ("reciprocal_mean_mc", 1.0 / hv)):
-            mean = float(np.dot(w, vals))
-            se = float(np.sqrt(np.dot(w ** 2, (vals - mean) ** 2)))
-            ledger.append((label, mean, f"chain Monte Carlo, std error {se:.3g} (audit only)"))
     if not (0.0 < rate_r < a_rate):
         raise RuntimeError("optimised rate left its certified interval")
     return TcpLinearCertificate(

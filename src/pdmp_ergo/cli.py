@@ -51,8 +51,6 @@ def main(argv=None) -> int:
             workers=workers,
             out_dir=args.out,
         )
-        if config.workers <= 0:
-            raise ConfigError("workers must be positive")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -47,6 +47,11 @@ class RunConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        # numbers set in code (CLI flags, library callers) obey the same
+        # rules as numbers read from a file
+        for attr, parse in _KEYS.values():
+            if isinstance(getattr(self, attr), (int, float)):
+                parse(getattr(self, attr))
         record = REGISTRY.get(self.model)
         if record is None:
             raise ConfigError(f"unknown model {self.model!r}")

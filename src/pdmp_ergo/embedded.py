@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 
-from .core import Estimate, Model, ensemble_states_at
+from .core import Model, ensemble_states_at
 from .rng import RandomStream
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "chain_step",
     "chain_sample_matrix",
     "chain_invariant_sample",
-    "normaliser_estimate",
     "reconstruct_mu",
     "reweight_and_push",
     "h_function",
@@ -251,50 +250,6 @@ def _h_values(model: Model, xs):
     if model.h_form is not None:
         return np.asarray(model.h_form(xs), dtype=float)
     return np.array([h_function(model, float(x)) for x in np.asarray(xs, dtype=float)])
-
-
-def _resample_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``clip(searchsorted(cum, u, "right"), 0, n - 1)`` for a nondecreasing
-    ``cum`` of n entries, found by stepping from the guess ``floor(u n)``.
-
-    The result is exact for any such ``cum``; the stepping is short only
-    when ``cum[i]`` stays within a few steps of ``(i + 1) / n``, as for the
-    cumulative sum of equal weights.
-    """
-    n = cum.size
-    idx = np.minimum((u * n).astype(np.intp), n - 1)
-    move = np.flatnonzero((idx < n - 1) & (cum[idx] <= u))
-    while move.size:
-        idx[move] += 1
-        move = move[(idx[move] < n - 1) & (cum[idx[move]] <= u[move])]
-    move = np.flatnonzero((idx > 0) & (cum[idx - 1] > u))
-    while move.size:
-        idx[move] -= 1
-        move = move[(idx[move] > 0) & (cum[idx[move] - 1] > u[move])]
-    return idx
-
-
-def normaliser_estimate(model: Model, chain_measure: EmpiricalMeasure,
-                        stream: RandomStream, n_boot: int = 64) -> Estimate:
-    """Reconstruction normalising constant (chain mean of the mean residual
-    normaliser) with a bootstrap standard error.
-
-    The constant has no closed form for general rates, so the uncertainty
-    is reported by resampling the chain atoms, which carry equal weights;
-    a measure with unequal weights raises ``ValueError``.
-    """
-    w = chain_measure.weights
-    if np.any(w != w[0]):
-        raise ValueError("the bootstrap resamples equally weighted chain atoms")
-    hv = _h_values(model, chain_measure.values)
-    value = float(np.dot(w, hv))
-    cum = np.cumsum(w)
-    node = stream.spawn()
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        u = node.substream(b).uniform(hv.size)
-        boots[b] = hv[_resample_indices(cum, u)].mean()
-    return Estimate(value, float(boots.std(ddof=1)))
 
 
 def reweight_and_push(model: Model, xs, stream: RandomStream):

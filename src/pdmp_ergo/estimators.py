@@ -22,6 +22,7 @@ __all__ = [
     "TestFunction",
     "default_family",
     "family_by_labels",
+    "column_ratio",
     "DecayFit",
     "entropy_p",
     "entropy_p_with_error",
@@ -73,6 +74,30 @@ def family_by_labels(labels: Sequence[str]) -> list[TestFunction]:
             raise KeyError(f"unknown test function {lab!r}; known: {sorted(table)}")
         out.append(table[lab])
     return out
+
+
+# ---------------------------------------------------------------------------
+# ratio of sums over independent columns
+# ---------------------------------------------------------------------------
+
+def column_ratio(num, den) -> Estimate:
+    """Ratio of sums sum(num) / sum(den) over a (slot, column) matrix.
+
+    Columns must be independent (separate chains or paths); slots within a
+    column may be correlated.  The standard error is the delta method over
+    the column sums N_c, D_c: sqrt(sum_c (N_c - R D_c)^2 / (C (C-1))) /
+    mean(D_c).  ``den`` broadcasts against ``num``, so ``1.0`` gives a
+    plain mean.
+    """
+    num, den = np.broadcast_arrays(np.asarray(num, dtype=float), np.asarray(den, dtype=float))
+    if num.ndim != 2 or num.shape[1] < 2:
+        raise ValueError("need a (slot, column) matrix with at least two columns")
+    num_c, den_c = num.sum(axis=0), den.sum(axis=0)
+    ratio = num_c.sum() / den_c.sum()
+    resid = num_c - ratio * den_c
+    c = num_c.size
+    se = np.sqrt(np.dot(resid, resid) / (c * (c - 1))) / den_c.mean()
+    return Estimate(float(ratio), float(se))
 
 
 # ---------------------------------------------------------------------------

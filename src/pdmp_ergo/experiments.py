@@ -18,10 +18,9 @@ import numpy as np
 from . import certificates as cert
 from .config import RunConfig
 from .core import Estimate, Model, nested_grid_statistics, run_tasks, simulate_ensemble
-from .embedded import (EmpiricalMeasure, chain_invariant_sample,
-                       chain_sample_matrix, normaliser_estimate,
+from .embedded import (EmpiricalMeasure, chain_invariant_sample, chain_sample_matrix,
                        reconstruct_mu, reweight_and_push, time_average_states)
-from .estimators import (TestFunction, energy_W, entropy_p_with_error,
+from .estimators import (TestFunction, column_ratio, energy_W, entropy_p_with_error,
                          family_by_labels, fit_decay_rate, inequality_details,
                          variance_of_semigroup, wasserstein_1d)
 from .registry import REGISTRY
@@ -95,27 +94,11 @@ def certificate_ledger(config: RunConfig, model: Model):
 # experiment bodies
 # ---------------------------------------------------------------------------
 
-def _grouped_reconstruction(model: Model, matrix: np.ndarray, stream: RandomStream):
-    """Reweight and push a (slot, chain) matrix; returns flat atoms/weights
-    plus per-chain means of the reconstruction (independent columns)."""
-    hv, pushed = reweight_and_push(model, matrix.ravel(), stream)
-    hw = hv.reshape(matrix.shape)
-    pw = pushed.reshape(matrix.shape)
-    col_mean = (hw * pw).sum(axis=0) / hw.sum(axis=0)
-    col_mean2 = (hw * pw ** 2).sum(axis=0) / hw.sum(axis=0)
-    return pushed, hv, col_mean, col_mean2
-
-
 def _reconstructed(config: RunConfig, model: Model, n: int, master: RandomStream):
     """Invariant law reconstructed from n embedded-chain states."""
     chain_mu = chain_invariant_sample(model, n, config.burn_in, config.thinning,
                                       master.substream(1))
     return reconstruct_mu(model, chain_mu, master.substream(2))
-
-
-def _mean_se(values: np.ndarray):
-    m = float(values.mean())
-    return m, float(values.std(ddof=1) / np.sqrt(values.size))
 
 
 def simulate_experiment(config: RunConfig, model: Model, master: RandomStream,
@@ -124,9 +107,8 @@ def simulate_experiment(config: RunConfig, model: Model, master: RandomStream,
         matrix = chain_sample_matrix(
             model, config.chain_length, config.burn_in, config.thinning,
             master.substream(1))
-        pushed, hv, col_mean, col_mean2 = _grouped_reconstruction(
-            model, matrix, master.substream(2))
-        return matrix, pushed, hv, col_mean, col_mean2
+        hv, pushed = reweight_and_push(model, matrix.ravel(), master.substream(2))
+        return matrix, hv, pushed
 
     def ta_task():
         return time_average_states(
@@ -134,42 +116,43 @@ def simulate_experiment(config: RunConfig, model: Model, master: RandomStream,
             n_paths=max(2, min(512, config.n_outer)), n_times=64,
             stream=master.substream(3))
 
-    (matrix, pushed, hv, col_mean, col_mean2), ta = run_tasks(
-        [chain_task, ta_task], config.workers)
+    (matrix, hv, pushed), ta = run_tasks([chain_task, ta_task], config.workers)
 
     mu = EmpiricalMeasure.from_samples(pushed, hv, provenance="reweighted")
     mu.to_csv(os.path.join(out_dir, "measure.csv"))
 
-    rec_mean, rec_mean_se = _mean_se(col_mean)
-    rec_m2, rec_m2_se = _mean_se(col_mean2)
-    ta_mean, ta_mean_se = _mean_se(ta.mean(axis=1))
-    ta_m2, ta_m2_se = _mean_se((ta ** 2).mean(axis=1))
+    # every statistic is a ratio of sums over (slot, chain) or (time, path)
+    # matrices, whose columns are independent
+    hw = hv.reshape(matrix.shape)
+    pw = pushed.reshape(matrix.shape)
+    norm = column_ratio(hw, 1.0)
+    rec_mean = column_ratio(hw * pw, hw)
+    rec_m2 = column_ratio(hw * pw ** 2, hw)
+    ta_mean = column_ratio(ta.T, 1.0)
+    ta_m2 = column_ratio((ta ** 2).T, 1.0)
 
-    tol1 = 3.0 * np.hypot(rec_mean_se, ta_mean_se)
-    tol2 = 3.0 * np.hypot(rec_m2_se, ta_m2_se)
+    tol1 = 3.0 * np.hypot(rec_mean.std_error, ta_mean.std_error)
+    tol2 = 3.0 * np.hypot(rec_m2.std_error, ta_m2.std_error)
     report.check(
-        "reconstructed_vs_time_average_mean", abs(rec_mean - ta_mean) <= tol1,
-        f"reconstructed={rec_mean:.6g} time_average={ta_mean:.6g} tol={tol1:.3g}")
+        "reconstructed_vs_time_average_mean", abs(rec_mean.value - ta_mean.value) <= tol1,
+        f"reconstructed={rec_mean.value:.6g} time_average={ta_mean.value:.6g} tol={tol1:.3g}")
     report.check(
-        "reconstructed_vs_time_average_second_moment", abs(rec_m2 - ta_m2) <= tol2,
-        f"reconstructed={rec_m2:.6g} time_average={ta_m2:.6g} tol={tol2:.3g}")
+        "reconstructed_vs_time_average_second_moment", abs(rec_m2.value - ta_m2.value) <= tol2,
+        f"reconstructed={rec_m2.value:.6g} time_average={ta_m2.value:.6g} tol={tol2:.3g}")
     report.check(
         "measure_weights_normalised", abs(mu.weights.sum() - 1.0) <= 1e-12,
         f"sum={mu.weights.sum():.17g}")
 
-    chain_mu = EmpiricalMeasure.from_samples(
-        matrix.ravel()[: config.chain_length], provenance="chain")
-    norm = normaliser_estimate(model, chain_mu, master.substream(4))
     report.info("reconstruction_normaliser",
-                f"value={norm.value:.10g} bootstrap_se={norm.std_error:.3g}")
+                f"value={norm.value:.10g} se={norm.std_error:.3g}")
     rows = [
-        ("chain_mean", chain_mu.mean(), "embedded-chain sample mean"),
+        ("chain_mean", column_ratio(matrix, 1.0).value, "embedded-chain sample mean"),
         ("reconstruction_normaliser", norm.value,
-         f"chain mean of the residual normaliser, bootstrap se {norm.std_error:.3g}"),
-        ("reconstructed_mean", rec_mean, "reweighted and pushed chain sample"),
-        ("time_average_mean", ta_mean, "trajectory occupation average"),
-        ("reconstructed_second_moment", rec_m2, "reweighted and pushed chain sample"),
-        ("time_average_second_moment", ta_m2, "trajectory occupation average"),
+         f"chain mean of the residual normaliser, between-chain se {norm.std_error:.3g}"),
+        ("reconstructed_mean", rec_mean.value, "reweighted and pushed chain sample"),
+        ("time_average_mean", ta_mean.value, "trajectory occupation average"),
+        ("reconstructed_second_moment", rec_m2.value, "reweighted and pushed chain sample"),
+        ("time_average_second_moment", ta_m2.value, "trajectory occupation average"),
     ]
     write_ledger_csv(os.path.join(out_dir, "ledger.csv"), rows)
 

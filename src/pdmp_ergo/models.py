@@ -175,6 +175,23 @@ def exponential_increment(scale: float = 1.0) -> Callable:
 # constant-rate model
 # ---------------------------------------------------------------------------
 
+def _constant_rate_forms(lam: float) -> dict:
+    """Closed forms of a constant jump rate ``lam``: the rate, its integral
+    along the flow and the inverse, the mean residual normaliser 1/lam and
+    the length-biased inter-jump time, which is Exp(lam)."""
+    def ktilde(x, stream):
+        t = stream.exponential(np.size(x)) / lam
+        return np.reshape(t, np.shape(x))
+
+    return dict(
+        rate=_const(lam),
+        cum_rate=lambda x, t: lam * np.asarray(t, dtype=float) + 0.0 * np.asarray(x, dtype=float),
+        inv_cum_rate=lambda x, u: np.asarray(u, dtype=float) / lam + 0.0 * np.asarray(x, dtype=float),
+        h_form=_const(1.0 / lam),
+        ktilde_sampler=ktilde,
+    )
+
+
 def make_tcp_constant(params: TcpConstantParams) -> Model:
     lam = float(params.rate)
     m2 = params.moment(2)
@@ -191,23 +208,15 @@ def make_tcp_constant(params: TcpConstantParams) -> Model:
             r = np.asarray(sampler(_draws(rng, x)), dtype=float)
             return r * np.asarray(x, dtype=float)
 
-    def ktilde(x, stream):
-        t = stream.exponential(np.size(x)) / lam
-        return np.reshape(t, np.shape(x))
-
     return Model(
         name="tcp_constant",
         domain_low=0.0,
         domain_high=np.inf,
         drift=_const(1.0),
         flow=lambda x, t: np.asarray(x, dtype=float) + t,
-        rate=_const(lam),
-        cum_rate=lambda x, t: lam * np.asarray(t, dtype=float) + 0.0 * np.asarray(x, dtype=float),
-        inv_cum_rate=lambda x, u: np.asarray(u, dtype=float) / lam + 0.0 * np.asarray(x, dtype=float),
         jump=jump,
         jump_gradient_bound=_const(m2),
-        h_form=_const(1.0 / lam),
-        ktilde_sampler=ktilde,
+        **_constant_rate_forms(lam),
     )
 
 
@@ -253,15 +262,6 @@ def linear_h(x):
     return _SQRT_HALF_PI * erfcx(x / np.sqrt(2.0))
 
 
-def _linear_inv_cum(x, u):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    root = np.sqrt(x * x + 2.0 * u)
-    with np.errstate(invalid="ignore"):
-        t = 2.0 * u / (root + x)
-    return np.where(u == 0.0, 0.0, t)
-
-
 def linear_ktilde_times(x, stream):
     """Length-biased inter-jump times for rate(x)=x: density ~ exp(-xt - t^2/2).
 
@@ -289,28 +289,53 @@ def linear_ktilde_times(x, stream):
     return out
 
 
-def make_tcp_linear(params: TcpLinearParams) -> Model:
-    delta = float(params.delta)
+def _affine_rate_forms(rate: Callable, slope: float) -> dict:
+    """Closed forms of an affine ``rate`` (lambda_star + slope*x) along the
+    unit-speed flow: its integral is quadratic in time, the inverse a square
+    root, and the mean residual normaliser and the length-biased sampler
+    reduce to the linear-rate ones after rescaling time by sqrt(slope).
+    Every form evaluates ``rate`` itself, so the linear rate x -> x costs
+    no extra array pass in the ensemble engine."""
+    rs = math.sqrt(slope)
+
+    def inv_cum_rate(x, u):
+        c = rate(x)
+        u = np.asarray(u, dtype=float)
+        root = np.sqrt(c * c + 2.0 * slope * u)
+        with np.errstate(invalid="ignore"):
+            t = 2.0 * u / (root + c)
+        return np.where(u == 0.0, 0.0, t)
+
+    def h_form(x):
+        return linear_h(rate(x) / rs) / rs
 
     def ktilde(x, stream):
         shape = np.shape(x)
-        t = linear_ktilde_times(np.ravel(np.asarray(x, dtype=float)), stream)
+        t = linear_ktilde_times(np.ravel(rate(x) / rs), stream) / rs
         return np.reshape(t, shape) if shape else float(t[0])
 
+    return dict(
+        rate=rate,
+        cum_rate=lambda x, t: rate(x) * np.asarray(t, dtype=float)
+        + 0.5 * slope * np.asarray(t, dtype=float) ** 2,
+        inv_cum_rate=inv_cum_rate,
+        h_form=h_form,
+        ktilde_sampler=ktilde,
+    )
+
+
+def make_tcp_linear(params: TcpLinearParams) -> Model:
+    delta = float(params.delta)
     return Model(
         name="tcp_linear",
         domain_low=0.0,
         domain_high=np.inf,
         drift=_const(1.0),
         flow=lambda x, t: np.asarray(x, dtype=float) + t,
-        rate=lambda x: np.asarray(x, dtype=float),
-        cum_rate=lambda x, t: np.asarray(x, dtype=float) * t + 0.5 * np.asarray(t, dtype=float) ** 2,
-        inv_cum_rate=_linear_inv_cum,
         jump=lambda x, rng: delta * np.asarray(x, dtype=float),
         jump_gradient_bound=_const(delta),
         weight=linear_weight,
-        h_form=linear_h,
-        ktilde_sampler=ktilde,
+        **_affine_rate_forms(lambda x: np.asarray(x, dtype=float), 1.0),
     )
 
 
@@ -326,23 +351,15 @@ def make_storage(params: StorageParams) -> Model:
         u = np.asarray(sampler(_draws(rng, x)), dtype=float)
         return np.asarray(x, dtype=float) + u
 
-    def ktilde(x, stream):
-        t = stream.exponential(np.size(x)) / lam
-        return np.reshape(t, np.shape(x))
-
     return Model(
         name="storage",
         domain_low=0.0,
         domain_high=np.inf,
         drift=lambda x: -np.asarray(x, dtype=float),
         flow=lambda x, t: np.asarray(x, dtype=float) * np.exp(-np.asarray(t, dtype=float)),
-        rate=_const(lam),
-        cum_rate=lambda x, t: lam * np.asarray(t, dtype=float) + 0.0 * np.asarray(x, dtype=float),
-        inv_cum_rate=lambda x, u: np.asarray(u, dtype=float) / lam + 0.0 * np.asarray(x, dtype=float),
         jump=jump,
         jump_gradient_bound=_const(1.0),
-        h_form=_const(1.0 / lam),
-        ktilde_sampler=ktilde,
+        **_constant_rate_forms(lam),
     )
 
 
@@ -478,42 +495,17 @@ def make_affine_rate_tcp(lambda_star: float, slope: float, delta: float,
                          kappa: Optional[float] = None) -> Model:
     """Nondecreasing-rate model with rate(x) = lambda_star + slope*x.
 
-    Same process family as :func:`make_tcp_increasing` but with closed
-    forms throughout (the rate integral is quadratic in time, its inverse
-    a square root, and the length-biased sampler reduces to the linear
-    one after rescaling time by sqrt(slope)).
+    Same process family as :func:`make_tcp_increasing` but with the closed
+    forms of :func:`_affine_rate_forms` throughout.
     """
     kappa = slope / lambda_star if kappa is None else kappa
+    forms = _affine_rate_forms(lambda x: lambda_star + slope * np.asarray(x, dtype=float), slope)
     params = TcpIncreasingParams(
-        rate_fn=lambda x: lambda_star + slope * np.asarray(x, dtype=float),
-        lambda_star=lambda_star, kappa=kappa, delta=delta,
-        cum_rate=lambda x, t: (lambda_star + slope * np.asarray(x, dtype=float))
-        * np.asarray(t, dtype=float) + 0.5 * slope * np.asarray(t, dtype=float) ** 2,
-        inv_cum_rate=lambda x, u: _affine_inv_cum(lambda_star, slope, x, u),
+        rate_fn=forms["rate"], lambda_star=lambda_star, kappa=kappa, delta=delta,
+        cum_rate=forms["cum_rate"], inv_cum_rate=forms["inv_cum_rate"],
     )
-    base = make_tcp_increasing(params)
-    rs = math.sqrt(slope)
-
-    def h_form(x):
-        c = (lambda_star + slope * np.asarray(x, dtype=float)) / rs
-        return linear_h(c) / rs
-
-    def ktilde(x, stream):
-        shape = np.shape(x)
-        c = np.ravel((lambda_star + slope * np.asarray(x, dtype=float)) / rs)
-        t = linear_ktilde_times(c, stream) / rs
-        return np.reshape(t, shape) if shape else float(t[0])
-
-    return replace(base, h_form=h_form, ktilde_sampler=ktilde)
-
-
-def _affine_inv_cum(lambda_star, slope, x, u):
-    c = lambda_star + slope * np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    root = np.sqrt(c * c + 2.0 * slope * u)
-    with np.errstate(invalid="ignore"):
-        t = 2.0 * u / (root + c)
-    return np.where(u == 0.0, 0.0, t)
+    return replace(make_tcp_increasing(params), h_form=forms["h_form"],
+                   ktilde_sampler=forms["ktilde_sampler"])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,9 @@ from pdmp_ergo.certificates import (BalanceSpec, ConfiningProfile,
                                     perturb_logsob_grid, perturb_poincare,
                                     push_through, tcp_linear_balance_envelope,
                                     theta_constant)
+from pdmp_ergo.embedded import chain_invariant_sample
+from pdmp_ergo.models import TcpLinearParams, linear_h, make_tcp_linear
+from pdmp_ergo.rng import RandomStream
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +275,12 @@ def test_certify_linear_limits():
 
 
 def test_certify_linear_audit_lines():
-    from pdmp_ergo.rng import RandomStream
-    cert = certify_tcp_linear(0.5, stream=RandomStream(3), n_chain=20_000)
-    names = [row[0] for row in cert.ledger]
-    assert "normaliser_mc" in names and "reciprocal_mean_mc" in names
-    mc = dict((row[0], row[1]) for row in cert.ledger)
-    assert 1.0 / cert.g_ratio_bound <= mc["normaliser_mc"] <= math.sqrt(math.pi / 2.0)
-    assert mc["reciprocal_mean_mc"] <= cert.g_ratio_bound
+    cert = certify_tcp_linear(0.5)
+    chain = chain_invariant_sample(make_tcp_linear(TcpLinearParams(0.5)), 20_000,
+                                   stream=RandomStream(3))
+    normaliser = chain.expectation(linear_h)
+    assert 1.0 / cert.g_ratio_bound <= normaliser <= math.sqrt(math.pi / 2.0)
+    assert chain.expectation(lambda x: 1.0 / linear_h(x)) <= cert.g_ratio_bound
 
 
 def test_rate_certificate_identity():

@@ -241,6 +241,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be nonnegative"),
+    ("--workers", "0", "workers must be positive"),
+])
+def test_cli_flag_obeys_the_parser_rule(tmp_path, capsys, flag, value, message):
+    cfg = write_config(tmp_path, "run.cfg", "model = tcp_linear\n")
+    out = str(tmp_path / "flag")
+    assert main(["certify", "--config", cfg, "--out", out, flag, value]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("model", ["tcp_linear", "tcp_increasing"])
 def test_cli_single_inner_replication_is_a_config_error(tmp_path, capsys, model):
     # one inner path has no inner variance, so no honest standard error

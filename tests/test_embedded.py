@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from pdmp_ergo.core import Estimate
-from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, _resample_indices,
-                                chain_invariant_sample, chain_sample_matrix, chain_step,
-                                h_function, kernel_K_sample, kernel_Ktilde_sample,
-                                normaliser_estimate, reconstruct_mu, time_average_states)
+from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, chain_invariant_sample,
+                                chain_sample_matrix, chain_step, h_function,
+                                kernel_K_sample, kernel_Ktilde_sample, reconstruct_mu,
+                                reweight_and_push, time_average_states)
+from pdmp_ergo.estimators import column_ratio
 from pdmp_ergo.models import (TcpConstantParams, TcpLinearParams,
                               make_tcp_constant, make_tcp_linear)
 from pdmp_ergo.rng import RandomStream
@@ -248,63 +250,54 @@ def test_two_estimator_consistency_constant_rate():
 
 def test_normaliser_constant_rate_exact():
     model = constant_model(rate=2.0)
-    chain = chain_invariant_sample(model, 5000, stream=RandomStream(40))
-    est = normaliser_estimate(model, chain, RandomStream(41))
+    matrix = chain_sample_matrix(model, 5000, stream=RandomStream(40))
+    est = column_ratio(h_function(model, matrix), 1.0)
     assert est.value == pytest.approx(0.5, rel=1e-12)
     assert est.std_error == 0.0
 
 
 def test_normaliser_linear_rate_bootstrap():
     model = linear_model()
-    chain = chain_invariant_sample(model, 50_000, stream=RandomStream(42))
-    est = normaliser_estimate(model, chain, RandomStream(43))
+    matrix = chain_sample_matrix(model, 50_000, stream=RandomStream(42))
+    est = column_ratio(h_function(model, matrix), 1.0)
     # mean of a positive decreasing function bounded by its value at zero
     assert 0.0 < est.value < np.sqrt(np.pi / 2.0)
     assert 0.0 < est.std_error < 0.01
 
 
-@pytest.mark.parametrize("n", [1, 3, 7, 1000, 100_003])
-def test_resample_indices_match_binary_search(n):
-    rng = np.random.default_rng(n)
-    equal = np.cumsum(np.full(n, 1.0 / n))
-    # zero weights make ties, so the steps from the guess run long
-    uneven = np.cumsum(np.r_[rng.integers(0, 3, n - 1), 1.0])
-    # the second cumsum ends short of one, so (cum[-1], 1) holds draws
-    for cum in (equal, equal * (1.0 - 2.0 ** -30), uneven / uneven[-1]):
-        at = cum[np.unique(np.r_[0, n - 1, rng.integers(0, n, 20)])]
-        top = cum[-1] + (1.0 - cum[-1]) * rng.random(8)
-        u = np.concatenate([rng.random(5000), at, np.nextafter(at, 0.0), top[top < 1.0], [0.0]])
-        expected = np.clip(np.searchsorted(cum, u, side="right"), 0, n - 1)
-        assert np.array_equal(_resample_indices(cum, u), expected)
+def test_normaliser_error_is_honest_for_correlated_chains():
+    # delta = 0.9 makes consecutive chain states strongly correlated, so an
+    # error that treats the atoms as independent is about 3x too small
+    model = linear_model(delta=0.9)
+    ests = [column_ratio(h_function(model, chain_sample_matrix(
+        model, 64 * 64, burn_in=200, stream=RandomStream(seed), n_chains=64)), 1.0)
+        for seed in range(60)]
+    spread = np.std([e.value for e in ests], ddof=1)
+    assert 1.0 / 1.5 <= spread / np.median([e.std_error for e in ests]) <= 1.5
 
 
-def _searchsorted_normaliser(model, chain_measure, stream, n_boot=64):
-    """The bootstrap with resample indices drawn by binary search."""
-    hv = np.asarray(h_function(model, chain_measure.values), dtype=float)
-    w = chain_measure.weights
-    value = float(np.dot(w, hv))
-    cum = np.cumsum(w)
-    node = stream.spawn()
-    boots = np.empty(n_boot)
-    for b in range(n_boot):
-        u = node.substream(b).uniform(hv.size)
-        idx = np.clip(np.searchsorted(cum, u, side="right"), 0, hv.size - 1)
-        boots[b] = hv[idx].mean()
-    return Estimate(value, float(boots.std(ddof=1)))
+def tcp_linear_moments(delta):
+    """Exact E X and E X^2 under the invariant law of the linear-rate process."""
+    mean = math.sqrt(2.0 / math.pi) * math.prod(
+        (1.0 - delta ** (2 * n)) / (1.0 - delta ** (2 * n - 1)) for n in range(1, 200))
+    return mean, 1.0 / (1.0 - delta)
 
 
-@pytest.mark.parametrize("seed", [0, 2])
-def test_normaliser_bootstrap_matches_binary_search(seed):
-    model = linear_model()
-    chain = chain_invariant_sample(model, 30_000, stream=RandomStream(seed))
-    got = normaliser_estimate(model, chain, RandomStream(seed).substream(4))
-    assert got == _searchsorted_normaliser(model, chain, RandomStream(seed).substream(4))
-
-
-def test_normaliser_rejects_unequal_weights():
-    chain = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0], [0.2, 0.3, 0.5], provenance="chain")
-    with pytest.raises(ValueError):
-        normaliser_estimate(linear_model(), chain, RandomStream(0))
+def test_reconstructed_moments_are_unbiased_over_many_short_chains():
+    # 4 slots per chain: a mean of per-chain ratios carries a bias of
+    # order 1/4 that more chains do not remove; the pooled ratio does not
+    model = linear_model(delta=0.5)
+    z = []
+    for seed in range(60):
+        stream = RandomStream(seed)
+        matrix = chain_sample_matrix(model, 1024 * 4, burn_in=200, stream=stream.substream(1))
+        hv, pushed = reweight_and_push(model, matrix.ravel(), stream.substream(2))
+        hw, pw = hv.reshape(matrix.shape), pushed.reshape(matrix.shape)
+        z.append([(est.value - exact) / est.std_error for est, exact in zip(
+            (column_ratio(hw * pw, hw), column_ratio(hw * pw ** 2, hw)),
+            tcp_linear_moments(0.5))])
+    z = np.array(z)
+    assert np.all(np.abs(z.mean(axis=0)) <= 3.0 * z.std(axis=0, ddof=1) / np.sqrt(len(z)))
 
 
 def test_two_estimator_consistency_linear_rate():
