@@ -42,11 +42,12 @@ def _env_workers() -> int | None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(args.config)
+        # the subcommand's experiment is in place before the config's
+        # rules run, so a rule never sees the file's default experiment
+        config = parse_config(args.config, experiment=args.experiment)
         workers = args.workers if args.workers is not None else _env_workers()
         config = with_overrides(
             config,
-            experiment=args.experiment,
             seed=args.seed,
             workers=workers,
             out_dir=args.out,

@@ -64,6 +64,9 @@ class RunConfig:
             value = getattr(self, key)
             if value is not None and not _RULES[rule](value):
                 raise ConfigError(f"model {self.model}: {key} must {rule}")
+        if self.experiment == "simulate" and self.chain_length < 2:
+            # one chain state gives one column: no between-chain error
+            raise ConfigError("simulate needs chain_length at least 2")
         problem = record.relation and record.relation(self)
         if problem:
             raise ConfigError(f"model {self.model}: {problem}")
@@ -158,7 +161,10 @@ _KEYS = {
 }
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
+def parse_config_text(text: str, origin: str = "<config>",
+                      experiment: Optional[str] = None) -> RunConfig:
+    """Config from ``key = value`` text; ``experiment``, when given, replaces
+    the text's experiment before any rule is checked."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -178,19 +184,21 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
             raise ConfigError(f"{origin}:{lineno}: {exc}") from None
     if "model" not in values:
         raise ConfigError(f"{origin}: missing required key 'model'")
+    if experiment is not None:
+        values["experiment"] = experiment
     try:
         return RunConfig(**values)
     except ConfigError as exc:
         raise ConfigError(f"{origin}: {exc}") from None
 
 
-def parse_config(path) -> RunConfig:
+def parse_config(path, experiment: Optional[str] = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    return parse_config_text(text, origin=str(path))
+    return parse_config_text(text, origin=str(path), experiment=experiment)
 
 
 def _text(value) -> str:

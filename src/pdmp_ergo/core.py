@@ -11,7 +11,10 @@ Two engines are provided: ``simulate_path`` produces one trajectory with
 its full event log, ``simulate_ensemble`` advances many replications at
 once using counter-indexed marks so that replication ``k`` consumes the
 same draw sequence regardless of batching, and coupled ensembles can
-share those draws (common random numbers).
+share those draws (common random numbers).  It works through the ensemble
+in cache-sized chunks of 65,536 paths keyed by their global replication
+index, so neither the chunking nor the ``workers`` threads that run the
+chunks change a value.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ __all__ = [
 ]
 
 MAX_EVENTS_DEFAULT = 10_000_000
+# paths advanced together by the ensemble engine: a chunk's working set
+# stays in a core's cache
+_CHUNK = 65_536
 # paths advanced at once by one atom block of nested_grid_statistics
 _ATOM_BLOCK = 2_000_000
 
@@ -176,7 +182,7 @@ def simulate_path(
 
 def simulate_ensemble(
     model: Model, x0, t_end, stream: RandomStream,
-    max_events: int = MAX_EVENTS_DEFAULT,
+    max_events: int = MAX_EVENTS_DEFAULT, workers: int = 1,
 ):
     """End states at ``t_end`` for a whole ensemble of start states.
 
@@ -185,38 +191,47 @@ def simulate_ensemble(
     ``stream``'s identity: calling twice with streams derived from the same
     node replays identical per-replication draws, which is exactly the
     coupling used by the gradient and transport-distance estimators.
+
+    The ensemble is advanced in contiguous chunks of ``_CHUNK`` paths, each
+    keyed by the global replication index, so the chunking never changes a
+    value; the chunks run on ``workers`` threads.
     """
     x0b, tb = np.broadcast_arrays(np.asarray(x0, dtype=float),
                                   np.asarray(t_end, dtype=float))
-    x0 = np.atleast_1d(x0b).astype(float, copy=True)
+    x = np.atleast_1d(x0b).astype(float, copy=True)
     t = np.atleast_1d(tb).astype(float, copy=True)
     if np.any(t < 0):
         raise ValueError("t_end must be nonnegative")
-    model.require_in_domain(x0, "start state")
+    model.require_in_domain(x, "start state")
     chart = model.chart
     if chart is not None:
-        model, x0 = model.base, chart.psi_inv(x0)
+        model, x = model.base, chart.psi_inv(x)
     marks = EventMarks(stream)
-    x = x0.copy()
+    run_tasks([lambda lo=lo: _advance(model, x[lo:lo + _CHUNK], t[lo:lo + _CHUNK], lo,
+                                      marks, max_events)
+               for lo in range(0, x.size, _CHUNK)], workers)
+    return x if chart is None else chart.psi(x)
+
+
+def _advance(model: Model, x, t, lo: int, marks: EventMarks, max_events: int):
+    """Advance the slice of an ensemble whose first replication is ``lo``,
+    writing end states into ``x`` and spending ``t`` in place."""
     alive = np.flatnonzero(t > 0)
     event = 0
     while alive.size:
         if event >= max_events:
             raise ExplosionError(f"more than {max_events} events in ensemble")
-        e = marks.exponential(alive, event, slot=0)
-        xa = x[alive]
-        done = model.cum_rate(xa, t[alive]) <= e
+        e = marks.exponential(alive + lo, event, slot=0)
+        done = model.cum_rate(x[alive], t[alive]) <= e
         idx_done = alive[done]
         x[idx_done] = model.flow(x[idx_done], t[idx_done])
-        t[idx_done] = 0.0
         alive = alive[~done]
         if alive.size:
             tau = model.inv_cum_rate(x[alive], e[~done])
             pre = model.flow(x[alive], tau)
-            x[alive] = model.jump(pre, MarkView(marks, alive, event))
+            x[alive] = model.jump(pre, MarkView(marks, alive + lo, event))
             t[alive] -= tau
         event += 1
-    return x if chart is None else chart.psi(x)
 
 
 def ensemble_states_at(
@@ -261,7 +276,8 @@ def nested_grid_statistics(model: Model, fs, atoms, times, inner_n: int,
     With ``bumps`` the statistics are those of the central difference
     (f(up) - f(down)) / (2 bump) between twins started at atom +/- bump,
     which replay the same node on every segment (common random numbers).
-    Atom blocks run on ``workers`` threads without changing any value.
+    Blocks run one after another; each ensemble's chunks run on ``workers``
+    threads without changing any value.
     Returns (means, variances), each of shape (len(fs), len(times), atoms).
     """
     if inner_n < 2:
@@ -273,22 +289,19 @@ def nested_grid_statistics(model: Model, fs, atoms, times, inner_n: int,
     twins = 1 if bumps is None else 2
     per_block = max(1, _ATOM_BLOCK // (twins * int(inner_n)))
 
-    def block(b, lo):
+    for b, lo in enumerate(range(0, atoms.size, per_block)):
         hi = min(atoms.size, lo + per_block)
         xs = [np.repeat(atoms[lo:hi], inner_n)] if bumps is None else \
             [np.repeat(atoms[lo:hi] + s * bumps[lo:hi], inner_n) for s in (1.0, -1.0)]
         for j, step in enumerate(steps):
             node = stream.substream(b, j)
-            xs = [simulate_ensemble(model, x, step, node) for x in xs]
+            xs = [simulate_ensemble(model, x, step, node, workers=workers) for x in xs]
             for i, f in enumerate(fs):
                 vals = [np.asarray(f(x), dtype=float).reshape(hi - lo, inner_n) for x in xs]
                 if bumps is not None:
                     vals = [(vals[0] - vals[1]) / (2.0 * bumps[lo:hi, None])]
                 means[i, j, lo:hi] = vals[0].mean(axis=1)
                 ivars[i, j, lo:hi] = vals[0].var(axis=1, ddof=1)
-
-    run_tasks([lambda b=b, lo=lo: block(b, lo)
-               for b, lo in enumerate(range(0, atoms.size, per_block))], workers)
     return means, ivars
 
 

@@ -373,8 +373,9 @@ class UnitFlowCumRate:
     ``value(y)`` integrates the rate from 0 to y exactly to quadrature
     precision (no interpolation of the integral itself); ``inverse(v)``
     solves value(y) = v by a bracketed Newton iteration and raises unless
-    every residual is within ``rtol * max(1, v)``.  The table extends
-    itself by doubling when queried beyond its current range.
+    every residual is within ``rtol * max(1, v)``.  Both are pure functions
+    of each point, whatever batch it comes in.  The table extends itself by
+    doubling when queried beyond its current range.
     """
 
     _MAX_NEWTON = 60
@@ -397,7 +398,9 @@ class UnitFlowCumRate:
         width = hi - lo
         nodes = lo[:, None] + width[:, None] * self._gx[None, :]
         vals = np.asarray(self._rate(nodes), dtype=float)
-        return width * (vals @ self._gw)
+        # einsum, not a BLAS product, so a panel's value never depends on the
+        # other rows of the batch
+        return width * np.einsum("ij,j->i", vals, self._gw)
 
     def _extend_to(self, y: float):
         with self._lock:
@@ -446,12 +449,20 @@ class UnitFlowCumRate:
         k = np.clip(np.searchsorted(cum, flat, side="right") - 1, 0, cum.size - 2)
         frac = (flat - cum[k]) / np.maximum(cum[k + 1] - cum[k], 1e-300)
         y = edges[k] + frac * (edges[k + 1] - edges[k])
+        # a converged point takes no further step, so each root depends only
+        # on its own level, never on the batch it came in
+        todo = np.arange(flat.size)
+        resid = self.value(y) - flat
         for _ in range(self._MAX_NEWTON):
-            resid = self.value(y) - flat
-            if np.all(np.abs(resid) <= self._rtol * np.maximum(1.0, flat)):
+            open_ = ~(np.abs(resid) <= self._rtol * np.maximum(1.0, flat[todo]))
+            todo, resid = todo[open_], resid[open_]
+            if not todo.size:
                 break
-            y = y - resid / np.maximum(np.asarray(self._rate(y), dtype=float), 1e-300)
-            y = np.clip(y, edges[k], edges[k + 1])
+            yt = y[todo]
+            yt = np.clip(yt - resid / np.maximum(np.asarray(self._rate(yt), dtype=float), 1e-300),
+                         edges[k[todo]], edges[k[todo] + 1])
+            y[todo] = yt
+            resid = self.value(yt) - flat[todo]
         else:
             raise ValueError(
                 f"inverse cumulative rate did not converge in {self._MAX_NEWTON} Newton steps")

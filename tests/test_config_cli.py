@@ -185,6 +185,25 @@ def test_cli_nested_worker_invariance_over_atom_blocks(tmp_path, monkeypatch, mo
     assert len(runs[0][1].splitlines()) > 4
 
 
+@pytest.mark.parametrize("model", ["tcp_linear", "tcp_increasing"])
+def test_cli_nested_worker_invariance_inside_one_block(tmp_path, monkeypatch, model):
+    # 300 atoms x 16 inner paths fit one atom block, advanced in five chunks
+    body = (f"model = {model}\nseed = 5\nn_outer = 300\nn_inner = 16\n"
+            "chain_length = 3000\nburn_in = 200\ntime_grid = 0,0.5,1,2\n")
+    cfg = write_config(tmp_path, "run.cfg", body)
+
+    def run(workers):
+        out = str(tmp_path / f"w{workers}-{core._CHUNK}")
+        code = main(["verify", "--config", cfg, "--out", out, "--workers", workers])
+        return code, open(os.path.join(out, "verify", "series.csv"), "rb").read()
+
+    whole = run("1")
+    monkeypatch.setattr(core, "_CHUNK", 1000)
+    runs = [run("1"), run("2")]
+    assert runs[0] == runs[1] == whole
+    assert len(whole[1].splitlines()) > 4
+
+
 def test_cli_seed_override_changes_outputs(tmp_path):
     cfg = write_config(tmp_path, "run.cfg", SMALL_RUN)
     out_a, out_b = str(tmp_path / "s1"), str(tmp_path / "s2")
@@ -239,6 +258,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["certify", "--config", cfg, "--out", out]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_cli_simulate_single_chain_state_is_a_config_error(tmp_path, capsys):
+    # one chain state gives a one-column matrix with no between-chain error
+    cfg = write_config(tmp_path, "run.cfg", "model = tcp_linear\nchain_length = 1\n")
+    out = str(tmp_path / "one")
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "simulate needs chain_length at least 2" in err
+    assert not os.path.exists(out)
+    # the rule is simulate's own: inequality runs on the same file
+    assert main(["inequality", "--config", cfg, "--out", out]) == 0
 
 
 @pytest.mark.parametrize("flag, value, message", [

@@ -180,6 +180,56 @@ def test_ensemble_matches_marks_reuse():
     assert np.array_equal(a, b)
 
 
+def _mixed_ensemble(n=101):
+    # zero horizons are scattered and fill two whole 7-path chunks, so some
+    # chunks start with dead paths and some never advance at all
+    rng = np.random.default_rng(21)
+    horizons = rng.uniform(0.5, 3.0, n)
+    horizons[::5] = 0.0
+    horizons[14:28] = 0.0
+    return rng.uniform(0.1, 3.0, n), horizons
+
+
+@pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+def test_ensemble_chunking_never_changes_a_value(monkeypatch, model):
+    x0, horizons = _mixed_ensemble()
+    node = RandomStream(13).substream(2)
+    whole = simulate_ensemble(model, x0, horizons, node)
+    monkeypatch.setattr(core, "_CHUNK", 7)
+    chunked = simulate_ensemble(model, x0, horizons, node)
+    assert np.array_equal(chunked, whole)
+    assert not np.array_equal(whole, model.flow(x0, horizons))
+
+
+@pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+def test_ensemble_chunks_on_threads_match_serial(monkeypatch, model):
+    # fifteen chunks on more threads than cores write disjoint slices of
+    # one array; a lost or misplaced write changes the result
+    monkeypatch.setattr(core, "_CHUNK", 7)
+    x0, horizons = _mixed_ensemble()
+    node = RandomStream(14).substream(3)
+    serial = simulate_ensemble(model, x0, horizons, node)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = simulate_ensemble(model, x0, horizons, node, workers=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(threaded, serial)
+
+
+def test_explosion_guard_trips_in_the_last_chunk(monkeypatch):
+    from pdmp_ergo.core import ExplosionError
+    monkeypatch.setattr(core, "_CHUNK", 7)
+    model = make_tcp_constant(TcpConstantParams(rate=50.0, delta=0.5))
+    horizons = np.zeros(20)
+    horizons[-1] = 100.0
+    with pytest.raises(ExplosionError, match="more than 20 events in ensemble"):
+        simulate_ensemble(model, np.zeros(20), horizons, RandomStream(2), max_events=20)
+    horizons[-1] = 0.01
+    simulate_ensemble(model, np.zeros(20), horizons, RandomStream(2), max_events=20)
+
+
 # ---------------------------------------------------------------------------
 # semigroup estimates
 # ---------------------------------------------------------------------------

@@ -216,6 +216,21 @@ def test_rate_table_concurrent_extension_matches_serial():
         sys.setswitchinterval(old_interval)
 
 
+def test_rate_table_and_chart_values_never_depend_on_the_batch():
+    # the ensemble engine hands the table the live paths of one chunk, and
+    # the chart inverts through the same table class: a point must get the
+    # same value alone, in a slice or in the whole batch
+    table = UnitFlowCumRate(lambda y: 1.0 + np.asarray(y, dtype=float))
+    chart = psi_chart()
+    y = np.random.default_rng(5).uniform(0.0, 20.0, 1001)
+    for f in (table.value, table.inverse, chart.psi, chart.psi_inv):
+        whole = f(y)
+        sliced = np.concatenate([f(y[i:i + 7]) for i in range(0, y.size, 7)])
+        assert np.array_equal(sliced, whole)
+        assert np.array_equal(f(y[::-1]), whole[::-1])
+        assert all(f(y[i:i + 1])[0] == whole[i] for i in range(0, y.size, 97))
+
+
 # ---------------------------------------------------------------------------
 # flattening chart and twisted model
 # ---------------------------------------------------------------------------
