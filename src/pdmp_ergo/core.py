@@ -186,8 +186,9 @@ def simulate_ensemble(
 ):
     """End states at ``t_end`` for a whole ensemble of start states.
 
-    ``x0`` is an array of starts (scalars are broadcast against ``t_end``),
-    ``t_end`` a scalar or per-replication horizon.  Marks are keyed by
+    ``x0`` is a 1-d array of starts (scalars are broadcast against
+    ``t_end``), ``t_end`` a scalar or per-replication horizon; inputs that
+    broadcast to more than one dimension are rejected.  Marks are keyed by
     ``stream``'s identity: calling twice with streams derived from the same
     node replays identical per-replication draws, which is exactly the
     coupling used by the gradient and transport-distance estimators.
@@ -198,6 +199,8 @@ def simulate_ensemble(
     """
     x0b, tb = np.broadcast_arrays(np.asarray(x0, dtype=float),
                                   np.asarray(t_end, dtype=float))
+    if x0b.ndim > 1:
+        raise ValueError(f"x0 and t_end must broadcast to a 1-d ensemble, got shape {x0b.shape}")
     x = np.atleast_1d(x0b).astype(float, copy=True)
     t = np.atleast_1d(tb).astype(float, copy=True)
     if np.any(t < 0):

@@ -14,6 +14,7 @@ can be cross-checked against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -99,19 +100,133 @@ class EmpiricalMeasure:
         return float(np.sqrt(np.dot(self.weights ** 2, (self.values - m) ** 2)))
 
     def to_csv(self, path):
+        """Write a ``value,weight`` header, then for each atom the bytes of
+        ``"%.17g,%.17g\\n" % (value, weight)``.
+
+        Seventeen significant digits read back bit-exactly.  The rows are
+        formatted in blocks of ``_CSV_BLOCK``, so the text held in memory
+        stays small.
+        """
         rows = np.column_stack((self.values, self.weights))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("value,weight\n")
-            # one % call per block of rows: faster than a write per row,
-            # and the formatted text stays small
+        with open(path, "wb") as fh:
+            fh.write(b"value,weight\n")
             for block in np.split(rows, np.arange(_CSV_BLOCK, self.size, _CSV_BLOCK)):
-                fh.write(("%.17g,%.17g\n" * len(block)) % tuple(block.ravel().tolist()))
+                fh.write(_csv_rows(block))
 
     @classmethod
     def read_csv(cls, path, provenance: str):
         data = np.genfromtxt(path, delimiter=",", skip_header=1)
         data = np.atleast_2d(data)
         return cls.from_samples(data[:, 0], data[:, 1], provenance=provenance)
+
+
+# measure.csv text.  A finite v with 10**X <= |v| < 10**(X+1) and X in
+# [-6, 16] is printed from integers: 10**(16 - X) is then an exact double,
+# Dekker's error-free product gives |v| * 10**(16 - X) = hi + lo exactly, and
+# rounding hi + lo half to even gives the 17 significant digits of CPython's
+# correctly rounded "%.17g".  X is guessed by log10 and kept only if the
+# exact product lies in [1e16, 1e17).  Rounding never carries to 1e17 in
+# this range: the largest double below each power of ten keeps 17 digits.
+# Every other value (zeros, subnormals, inf, nan, other magnitudes and the
+# rare missed guess next to a power of ten) is formatted by "%.17g" itself.
+#
+# A field's text is gathered from a 28-byte source row of seven uint32
+# words, ``_CSV_ROW``: ".-e", the 17 digits (A-Q stand for them here) and
+# every other character a field in the exact range needs.
+
+_CSV_ROW = ".-eABCDEFGHIJKLMNOPQ+05617,\n"
+_CSV_BYTE = {ch: i for i, ch in enumerate(_CSV_ROW)}
+_CSV_FIELD = 25                  # widest "%.17g" text of a double, plus "," or "\n"
+
+
+def _split(a):
+    """Veltkamp's split of a into two halves of at most 26 significant bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@lru_cache(maxsize=None)
+def _csv_tables():
+    """10**k for k in [0, 22] with its halves, and the words of a source row:
+    ".-e" with each lead digit, the digits of 0..9999, and the tail."""
+    p = 10.0 ** np.arange(23)
+    quads = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    return ((p, *_split(p)),
+            np.frombuffer(b"".join(b".-e%d" % d for d in range(10)), np.uint32),
+            quads.astype(np.uint8).view(np.uint32).ravel(),
+            np.frombuffer(_CSV_ROW[20:].encode(), np.uint32))
+
+
+@lru_cache(maxsize=None)
+def _csv_template(code: int):
+    """Source-row bytes of one category of fields, padded to ``_CSV_FIELD``,
+    and a mask of the ones to keep.
+
+    ``code`` packs the field's column (value or weight), its sign, its
+    decimal exponent x and its number nd of significant digits once
+    trailing zeros go.  The C ``%g`` rules: fixed notation for -4 <= x < 17,
+    trailing zeros stripped, an exponent of at least 2 digits.
+    """
+    rest, nd = divmod(code, 18)
+    rest, x = divmod(rest, 23)
+    column, neg = divmod(rest, 2)
+    x -= 6
+    digits = _CSV_ROW[3:20][:max(nd, x + 1)]
+    if -4 <= x < 0:
+        text = "0." + "0" * (-x - 1) + digits
+    else:
+        point = max(x + 1, 1)
+        text = (digits[:point] + "." + digits[point:]).rstrip(".")
+        text += "e%+03d" % x if x < -4 else ""
+    cols = [_CSV_BYTE[ch] for ch in "-" * neg + text + ",\n"[column]]
+    pad = _CSV_FIELD - len(cols)
+    return np.array(cols + [0] * pad), np.array([True] * len(cols) + [False] * pad)
+
+
+def _csv_rows(rows) -> bytes:
+    """The bytes ``"%.17g,%.17g\\n" % row`` gives, for every row of an (n, 2) array."""
+    (p, p_hi, p_lo), lead_words, quad_words, tail_words = _csv_tables()
+    v = np.ascontiguousarray(rows, dtype=float).ravel()
+    a = np.abs(v)
+    exact = (a >= 1e-6) & (a < 1e17)
+    a = np.where(exact, a, 1.0)
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
+    a_hi, a_lo = _split(a)
+    hi = a * p[k]
+    lo = ((a_hi * p_hi[k] - hi) + a_hi * p_lo[k] + a_lo * p_hi[k]) + a_lo * p_lo[k]
+    exact &= ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & ((hi < 1e17) | (hi == 1e17) & (lo < 0))
+
+    # round hi + lo half to even; hi is an integer since hi >= 2**53
+    f = np.floor(lo)
+    n = hi.astype(np.int64) + f.astype(np.int64)
+    n += (lo > f + 0.5) | ((lo == f + 0.5) & (n % 2 == 1))
+    n = np.where(exact, n, 10 ** 16)
+
+    lead, rest = np.divmod(n, 10 ** 16)
+    quads = np.empty((v.size, 4), np.intp)
+    quads[:, 0], quads[:, 1] = np.divmod(rest // 10 ** 8, 10 ** 4)
+    quads[:, 2], quads[:, 3] = np.divmod(rest % 10 ** 8, 10 ** 4)
+    words = np.empty((v.size, 7), np.uint32)
+    words[:, 0] = lead_words[lead]
+    words[:, 1:5] = quad_words[quads]
+    words[:, 5:] = tail_words
+    src = words.view(np.uint8)
+    nd = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)
+
+    code = ((np.arange(v.size) % 2 * 2 + np.signbit(v)) * 23 + 22 - k) * 18 + nd
+    present = np.flatnonzero(np.bincount(code))
+    cols, keep = map(np.array, zip(*map(_csv_template, present.tolist())))
+    which = np.searchsorted(present, code)
+    index = cols[which]
+    index += np.arange(0, src.size, src.shape[1])[:, None]
+    text = np.take(src.ravel(), index)
+    keep = keep[which]
+    for i in np.flatnonzero(~exact):
+        s = ("%.17g" % v[i]).encode() + b",\n"[i % 2:i % 2 + 1]
+        text[i, :len(s)] = np.frombuffer(s, np.uint8)
+        keep[i] = np.arange(_CSV_FIELD) < len(s)
+    return text[keep].tobytes()
 
 
 def kernel_K_sample(model: Model, x, stream: RandomStream):

@@ -180,6 +180,16 @@ def test_ensemble_matches_marks_reuse():
     assert np.array_equal(a, b)
 
 
+def test_ensemble_rejects_a_start_of_more_than_one_dimension():
+    model = make_tcp_linear(TcpLinearParams(0.5))
+    with pytest.raises(ValueError, match=r"1-d ensemble, got shape \(3, 4\)"):
+        simulate_ensemble(model, np.ones((3, 4)), 1.0, RandomStream(0))
+    with pytest.raises(ValueError, match=r"got shape \(3, 2\)"):
+        simulate_ensemble(model, np.ones((3, 1)), np.ones(2), RandomStream(0))
+    assert simulate_ensemble(model, 1.0, 1.0, RandomStream(0)).shape == (1,)
+    assert simulate_ensemble(model, np.ones(3), 1.0, RandomStream(0)).shape == (3,)
+
+
 def _mixed_ensemble(n=101):
     # zero horizons are scattered and fill two whole 7-path chunks, so some
     # chunks start with dead paths and some never advance at all

@@ -1,10 +1,13 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, chain_invariant_sample,
+from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, _csv_rows, chain_invariant_sample,
                                 chain_sample_matrix, chain_step, h_function,
                                 kernel_K_sample, kernel_Ktilde_sample, reconstruct_mu,
                                 reweight_and_push, time_average_states)
@@ -58,6 +61,65 @@ def test_measure_csv_matches_row_by_row_text(tmp_path, n):
     m.to_csv(path)
     rows = "".join(f"{v:.17g},{w:.17g}\n" for v, w in zip(m.values, m.weights))
     assert path.read_text(encoding="utf-8") == "value,weight\n" + rows
+
+
+def assert_csv_text(values):
+    # each value in both columns, against a different partner in each
+    v = np.asarray(values, dtype=float).ravel()
+    rows = np.column_stack((v, v[::-1]))
+    text = "".join("%.17g,%.17g\n" % (a, b) for a, b in rows.tolist()).encode()
+    assert _csv_rows(rows) == text
+
+
+def test_csv_text_rounds_dyadic_ties_half_to_even():
+    # m / 2**j with m odd (and below 2**53, so the quotient is exact) has
+    # the digits of m * 5**j, the last a 5: 18 of them make a tie at 17
+    ties = [26215 / 2 ** 18]
+    for j in range(2, 26):
+        first = -(-10 ** 17 // 5 ** j) | 1
+        last = (min(10 ** 18 // 5 ** j, 2 ** 53) - 1) | 1
+        while last * 5 ** j >= 10 ** 18 or last >= 2 ** 53:
+            last -= 2
+        ties += [m / 2 ** j for m in {first, first + 2, first + 4, last - 2, last}
+                 if first <= m <= last]
+    for v in ties:
+        digits = Decimal(v).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    assert "%.17g" % ties[0] == "0.10000228881835938"
+    assert_csv_text(ties)
+    assert_csv_text(-np.array(ties))
+
+
+def test_csv_text_at_powers_of_ten_and_their_neighbours():
+    powers = 10.0 ** np.arange(-10, 21)
+    assert_csv_text(np.concatenate([np.nextafter(powers, 0.0), powers,
+                                    np.nextafter(powers, np.inf)]))
+    assert "%.17g" % 1e-6 == "9.9999999999999995e-07"
+
+
+def test_csv_text_at_the_edges_of_the_exact_range():
+    # the integer route covers decimal exponents -6 to 16; one step past
+    # each edge goes through "%.17g" itself
+    low, high = np.nextafter(1e-6, np.inf), np.nextafter(1e17, 0.0)
+    edges = [low, np.nextafter(low, 0.0), np.nextafter(1e-5, 0.0), 1e-5,
+             high, np.nextafter(high, np.inf), 1e16, np.nextafter(1e16, 0.0)]
+    assert ["%.17g" % v for v in edges[:2]] == ["1.0000000000000002e-06",
+                                                 "9.9999999999999995e-07"]
+    assert ["%.17g" % v for v in edges[4:6]] == ["99999999999999984", "1e+17"]
+    assert_csv_text(edges)
+    assert_csv_text(-np.array(edges))
+
+
+def test_csv_text_of_zeros_subnormals_and_non_finite_values():
+    assert_csv_text([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf,
+                     -np.inf, np.nan, -1.5, -0.1, -123456.789, -1e300, 1.7976931348623157e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.floats(-1e18, 1e18), min_size=1, max_size=64))
+def test_csv_text_matches_percent_format(values):
+    assert_csv_text(values)
 
 
 # ---------------------------------------------------------------------------
