@@ -77,9 +77,7 @@ def test_csv_text_rounds_dyadic_ties_half_to_even():
     ties = [26215 / 2 ** 18]
     for j in range(2, 26):
         first = -(-10 ** 17 // 5 ** j) | 1
-        last = (min(10 ** 18 // 5 ** j, 2 ** 53) - 1) | 1
-        while last * 5 ** j >= 10 ** 18 or last >= 2 ** 53:
-            last -= 2
+        last = (min(-(-10 ** 18 // 5 ** j), 2 ** 53) - 2) | 1
         ties += [m / 2 ** j for m in {first, first + 2, first + 4, last - 2, last}
                  if first <= m <= last]
     for v in ties:
