@@ -121,20 +121,26 @@ class EmpiricalMeasure:
 
 
 # measure.csv text.  A finite v with 10**X <= |v| < 10**(X+1) and X in
-# [-6, 16] is printed from integers: 10**(16 - X) is then an exact double,
-# Dekker's error-free product gives |v| * 10**(16 - X) = hi + lo exactly, and
-# rounding hi + lo half to even gives the 17 significant digits of CPython's
-# correctly rounded "%.17g".  X is guessed by log10 and kept only if the
-# exact product lies in [1e16, 1e17).  Rounding never carries to 1e17 in
-# this range: the largest double below each power of ten keeps 17 digits.
-# Every other value (zeros, subnormals, inf, nan, other magnitudes and the
-# rare missed guess next to a power of ten) is formatted by "%.17g" itself.
+# [-9, 16] is printed from integers.  Write 10**(16 - X) = p + p_tail with p
+# the nearest double; p_tail is 0 up to 10**22.  Dekker's error-free product
+# gives |v| * p = hi + lo exactly, and rounding hi + lo half to even gives the
+# 17 significant digits of CPython's correctly rounded "%.17g".  For X < -6,
+# lo also takes the rounded |v| * p_tail, which is off by less than 2**-44,
+# so such a field keeps this route only when lo is further than 2**-40 from
+# an integer and from a half-integer, where that error cannot change the
+# digits.  X is guessed by log10 and kept only if the product lies in
+# [1e16, 1e17).  Rounding never carries to 1e17 in this range: the largest
+# double below each power of ten keeps 17 digits.  Every other value
+# (zeros, subnormals, inf, nan, other magnitudes, the rare missed guess next
+# to a power of ten and the rarer lo too close to call) is formatted by
+# "%.17g" itself.  1e-9 is as small as a weight 1/n of n <= 10**9 atoms gets.
 #
 # A field's text is gathered from a 28-byte source row of seven uint32
 # words, ``_CSV_ROW``: ".-e", the 17 digits (A-Q stand for them here) and
-# every other character a field in the exact range needs.
+# the other characters a field in the exact range needs: "0" of "0.000" and
+# of "e-05", the last digits 5-9 of the exponents, and the separators.
 
-_CSV_ROW = ".-eABCDEFGHIJKLMNOPQ+05617,\n"
+_CSV_ROW = ".-eABCDEFGHIJKLMNOPQ056789,\n"
 _CSV_BYTE = {ch: i for i, ch in enumerate(_CSV_ROW)}
 _CSV_FIELD = 25                  # widest "%.17g" text of a double, plus "," or "\n"
 
@@ -148,11 +154,13 @@ def _split(a):
 
 @lru_cache(maxsize=None)
 def _csv_tables():
-    """10**k for k in [0, 22] with its halves, and the words of a source row:
-    ".-e" with each lead digit, the digits of 0..9999, and the tail."""
-    p = 10.0 ** np.arange(23)
+    """The double p nearest 10**k for k in [0, 25], its halves and
+    10**k - p, and the words of a source row: ".-e" with each lead digit,
+    the digits of 0..9999, and the tail."""
+    p = np.array([float(10 ** k) for k in range(26)])
+    p_tail = np.array([10 ** k - int(x) for k, x in enumerate(p)], float)
     quads = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    return ((p, *_split(p)),
+    return ((p, *_split(p), p_tail),
             np.frombuffer(b"".join(b".-e%d" % d for d in range(10)), np.uint32),
             quads.astype(np.uint8).view(np.uint32).ravel(),
             np.frombuffer(_CSV_ROW[20:].encode(), np.uint32))
@@ -169,9 +177,9 @@ def _csv_template(code: int):
     trailing zeros stripped, an exponent of at least 2 digits.
     """
     rest, nd = divmod(code, 18)
-    rest, x = divmod(rest, 23)
+    rest, x = divmod(rest, 26)
     column, neg = divmod(rest, 2)
-    x -= 6
+    x -= 9
     digits = _CSV_ROW[3:20][:max(nd, x + 1)]
     if -4 <= x < 0:
         text = "0." + "0" * (-x - 1) + digits
@@ -186,21 +194,24 @@ def _csv_template(code: int):
 
 def _csv_rows(rows) -> bytes:
     """The bytes ``"%.17g,%.17g\\n" % row`` gives, for every row of an (n, 2) array."""
-    (p, p_hi, p_lo), lead_words, quad_words, tail_words = _csv_tables()
+    (p, p_hi, p_lo, p_tail), lead_words, quad_words, tail_words = _csv_tables()
     v = np.ascontiguousarray(rows, dtype=float).ravel()
     a = np.abs(v)
-    exact = (a >= 1e-6) & (a < 1e17)
+    exact = (a >= 1e-9) & (a < 1e17)
     a = np.where(exact, a, 1.0)
-    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 22)
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.intp), 0, 25)
     a_hi, a_lo = _split(a)
     hi = a * p[k]
     lo = ((a_hi * p_hi[k] - hi) + a_hi * p_lo[k] + a_lo * p_hi[k]) + a_lo * p_lo[k]
+    lo += a * p_tail[k]
     exact &= ((hi > 1e16) | (hi == 1e16) & (lo >= 0)) & ((hi < 1e17) | (hi == 1e17) & (lo < 0))
 
     # round hi + lo half to even; hi is an integer since hi >= 2**53
     f = np.floor(lo)
     n = hi.astype(np.int64) + f.astype(np.int64)
     n += (lo > f + 0.5) | ((lo == f + 0.5) & (n % 2 == 1))
+    off_half = np.abs(lo - f - 0.5)
+    exact &= (k <= 22) | ((off_half > 2.0 ** -40) & (off_half < 0.5 - 2.0 ** -40))
     n = np.where(exact, n, 10 ** 16)
 
     lead, rest = np.divmod(n, 10 ** 16)
@@ -214,7 +225,7 @@ def _csv_rows(rows) -> bytes:
     src = words.view(np.uint8)
     nd = 17 - np.argmax(src[:, 19:2:-1] != ord("0"), axis=1)
 
-    code = ((np.arange(v.size) % 2 * 2 + np.signbit(v)) * 23 + 22 - k) * 18 + nd
+    code = ((np.arange(v.size) % 2 * 2 + np.signbit(v)) * 26 + 25 - k) * 18 + nd
     present = np.flatnonzero(np.bincount(code))
     cols, keep = map(np.array, zip(*map(_csv_template, present.tolist())))
     which = np.searchsorted(present, code)
@@ -222,10 +233,12 @@ def _csv_rows(rows) -> bytes:
     index += np.arange(0, src.size, src.shape[1])[:, None]
     text = np.take(src.ravel(), index)
     keep = keep[which]
-    for i in np.flatnonzero(~exact):
-        s = ("%.17g" % v[i]).encode() + b",\n"[i % 2:i % 2 + 1]
-        text[i, :len(s)] = np.frombuffer(s, np.uint8)
-        keep[i] = np.arange(_CSV_FIELD) < len(s)
+    out = np.flatnonzero(~exact)
+    if out.size:
+        fields = np.array([(b"%.17g,", b"%.17g\n")[i % 2] % x
+                           for i, x in zip(out.tolist(), v[out].tolist())], "S%d" % _CSV_FIELD)
+        text[out] = fields[:, None].view(np.uint8)
+        keep[out] = np.arange(_CSV_FIELD) < np.char.str_len(fields)[:, None]
     return text[keep].tobytes()
 
 

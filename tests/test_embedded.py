@@ -96,16 +96,38 @@ def test_csv_text_at_powers_of_ten_and_their_neighbours():
 
 
 def test_csv_text_at_the_edges_of_the_exact_range():
-    # the integer route covers decimal exponents -6 to 16; one step past
-    # each edge goes through "%.17g" itself
-    low, high = np.nextafter(1e-6, np.inf), np.nextafter(1e17, 0.0)
-    edges = [low, np.nextafter(low, 0.0), np.nextafter(1e-5, 0.0), 1e-5,
+    # the integer route covers decimal exponents -9 to 16; one step past
+    # each edge goes through "%.17g" itself.  Below 1e-6 (exponent -7) the
+    # power of ten is no longer a double
+    low, high = 1e-9, np.nextafter(1e17, 0.0)
+    edges = [low, np.nextafter(low, 0.0), np.nextafter(1e-6, np.inf), 1e-6,
+             np.nextafter(1e-5, 0.0), 1e-5,
              high, np.nextafter(high, np.inf), 1e16, np.nextafter(1e16, 0.0)]
-    assert ["%.17g" % v for v in edges[:2]] == ["1.0000000000000002e-06",
-                                                 "9.9999999999999995e-07"]
-    assert ["%.17g" % v for v in edges[4:6]] == ["99999999999999984", "1e+17"]
+    assert ["%.17g" % v for v in edges[:4]] == ["1.0000000000000001e-09", "9.9999999999999986e-10",
+                                                 "1.0000000000000002e-06", "9.9999999999999995e-07"]
+    assert ["%.17g" % v for v in edges[6:8]] == ["99999999999999984", "1e+17"]
     assert_csv_text(edges)
     assert_csv_text(-np.array(edges))
+
+
+def test_csv_text_next_to_an_integer_or_a_tie_below_1e_minus_6():
+    # v = m * 2**(e - 52) times 10**k has the fractional part
+    # (m * 5**k mod 2**s) / 2**s with s = 52 - e - k: solve for m to put it
+    # within a few 2**-s of 0, 1/2 and 1, where the rounded tail of 10**k
+    # would pick the wrong digits
+    hard = []
+    for e in range(-30, -22):
+        for k in (23, 24, 25):
+            s = 52 - e - k
+            for target in [d % 2 ** s for d in range(-8, 9)] + [2 ** (s - 1) + d for d in range(-8, 9)]:
+                m = target * pow(5 ** k, -1, 2 ** s) % 2 ** s
+                m += -(-(2 ** 52 - m) // 2 ** s) * 2 ** s if m < 2 ** 52 else 0
+                v = math.ldexp(m, e - 52)
+                if m < 2 ** 53 and 10 ** 16 <= Decimal(v) * 10 ** k < 10 ** 17:
+                    hard.append(v)
+    assert len(hard) > 100
+    assert_csv_text(hard)
+    assert_csv_text(-np.array(hard))
 
 
 def test_csv_text_of_zeros_subnormals_and_non_finite_values():
