@@ -14,7 +14,9 @@ same draw sequence regardless of batching, and coupled ensembles can
 share those draws (common random numbers).  It works through the ensemble
 in cache-sized chunks of 65,536 paths keyed by their global replication
 index, so neither the chunking nor the ``workers`` threads that run the
-chunks change a value.
+chunks change a value.  Within a chunk the paths still alive are kept as a
+compacted set (indices, states, remaining times) that shrinks each round by
+integer gathers, which cost a fraction of a boolean-mask selection.
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def simulate_ensemble(
     if x0b.ndim > 1:
         raise ValueError(f"x0 and t_end must broadcast to a 1-d ensemble, got shape {x0b.shape}")
     x = np.atleast_1d(x0b).astype(float, copy=True)
-    t = np.atleast_1d(tb).astype(float, copy=True)
+    t = np.atleast_1d(tb)
     if np.any(t < 0):
         raise ValueError("t_end must be nonnegative")
     model.require_in_domain(x, "start state")
@@ -217,23 +219,25 @@ def simulate_ensemble(
 
 
 def _advance(model: Model, x, t, lo: int, marks: EventMarks, max_events: int):
-    """Advance the slice of an ensemble whose first replication is ``lo``,
-    writing end states into ``x`` and spending ``t`` in place."""
+    """Advance the slice of an ensemble whose first replication is ``lo``
+    to its horizons ``t`` (only read), writing end states into ``x``.  The
+    alive paths are compacted arrays that shrink by integer gathers."""
     alive = np.flatnonzero(t > 0)
+    reps, xa, ta = alive + lo, x[alive], t[alive]
     event = 0
     while alive.size:
         if event >= max_events:
             raise ExplosionError(f"more than {max_events} events in ensemble")
-        e = marks.exponential(alive + lo, event, slot=0)
-        done = model.cum_rate(x[alive], t[alive]) <= e
-        idx_done = alive[done]
-        x[idx_done] = model.flow(x[idx_done], t[idx_done])
-        alive = alive[~done]
+        e = marks.exponential(reps, event, slot=0)
+        done = model.cum_rate(xa, ta) <= e
+        fin = np.flatnonzero(done)
+        x[alive[fin]] = model.flow(xa[fin], ta[fin])
+        keep = np.flatnonzero(~done)
+        alive, reps, xa, ta, e = (a[keep] for a in (alive, reps, xa, ta, e))
         if alive.size:
-            tau = model.inv_cum_rate(x[alive], e[~done])
-            pre = model.flow(x[alive], tau)
-            x[alive] = model.jump(pre, MarkView(marks, alive + lo, event))
-            t[alive] -= tau
+            tau = model.inv_cum_rate(xa, e)
+            xa = model.jump(model.flow(xa, tau), MarkView(marks, reps, event))
+            ta -= tau
         event += 1
 
 
@@ -278,7 +282,9 @@ def nested_grid_statistics(model: Model, fs, atoms, times, inner_n: int,
     ``stream.substream(b, j)``; every f is evaluated on the shared states.
     With ``bumps`` the statistics are those of the central difference
     (f(up) - f(down)) / (2 bump) between twins started at atom +/- bump,
-    which replay the same node on every segment (common random numbers).
+    which replay the same node on every segment (common random numbers);
+    past time zero that needs a synchronously coupled model (a jump clock
+    independent of the state), and any other model raises ValueError.
     Blocks run one after another; each ensemble's chunks run on ``workers``
     threads without changing any value.
     Returns (means, variances), each of shape (len(fs), len(times), atoms).
@@ -287,6 +293,12 @@ def nested_grid_statistics(model: Model, fs, atoms, times, inner_n: int,
         raise ValueError("need at least two inner replications")
     atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
     steps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+    # twins share every mark, so they jump together exactly when the
+    # accumulated rate along the flow does not depend on the start state
+    probe = np.clip([0.5, 1.0, 2.0, 4.0], model.domain_low, model.domain_high)
+    if bumps is not None and np.any(steps > 0) and np.ptp(model.cum_rate(probe, 1.0)) > 0:
+        raise ValueError(f"{model.name} is not synchronously coupled: bumped twins can "
+                         "jump apart, so the central difference has no honest error")
     means = np.empty((len(fs), steps.size, atoms.size))
     ivars = np.empty_like(means)
     twins = 1 if bumps is None else 2
@@ -328,6 +340,8 @@ def gradient_semigroup_estimate(
     Both bump ensembles replay identical per-replication exponential marks
     and jump draws (they share one stream node), so for synchronously
     coupled models the difference is exact and the variance collapses.
+    For t > 0 any other model raises ValueError, as its twins can jump
+    apart and the reported standard error would not be honest.
     """
     h = float(default_bump(x) if h is None else h)
     if h <= 0:

@@ -250,7 +250,8 @@ def energy_W(
     At t=0 the exact derivative is used (no simulation).  Otherwise each
     atom contributes weight(x) times the squared coupled gradient
     estimate, debiased by the paired-difference variance over the inner
-    replication count.
+    replication count.  For t > 0 the model must be synchronously coupled
+    (see ``core.nested_grid_statistics``); any other raises ValueError.
     """
     w = mu_hat.weights
     a_vals = np.asarray(model.weight(mu_hat.values), dtype=float)

@@ -32,13 +32,6 @@ _SLOTS_PER_EVENT = 64
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(z):
-    """SplitMix64 finalizer, elementwise on uint64 arrays."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
-
-
 def _mix64_int(z: int) -> int:
     """SplitMix64 finalizer on a python int (numpy warns on scalar overflow)."""
     z &= _MASK64
@@ -97,18 +90,32 @@ class EventMarks:
         self._key = int(stream.key64())
 
     def _hash(self, reps, event: int, slot: int):
-        reps = np.asarray(reps, dtype=np.uint64)
+        # SplitMix64 of subkey + golden*(reps+1) mod 2**64, in place on one
+        # fresh buffer with one scratch array for the shifts
         ctr = int(event) * _SLOTS_PER_EVENT + int(slot)
         subkey = _mix64_int(self._key + 0x9E3779B97F4A7C15 * (ctr + 1))
-        return _mix64(_U64(subkey) + _GOLDEN * (reps + _U64(1)))
+        z = np.array(reps, dtype=np.uint64)
+        z *= _GOLDEN
+        z += _U64((subkey + 0x9E3779B97F4A7C15) & _MASK64)
+        s = np.empty_like(z)
+        for shift, mul in ((_U64(30), _MIX1), (_U64(27), _MIX2)):
+            z ^= np.right_shift(z, shift, out=s)
+            z *= mul
+        z ^= np.right_shift(z, _U64(31), out=s)
+        return z
 
     def uniform(self, reps, event: int, slot: int = 0):
-        # 53-bit mantissa, shifted off zero so the value lies in (0, 1)
+        # 53-bit mantissa, shifted off zero so the value lies in (0, 1); the
+        # float result overwrites the hash buffer
         h = self._hash(reps, event, slot)
-        return ((h >> _U64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+        h >>= _U64(11)
+        u = np.add(h, 0.5, out=h.view(np.float64))
+        return np.multiply(u, 2.0 ** -53, out=u)
 
     def exponential(self, reps, event: int, slot: int = 0):
-        return -np.log1p(-self.uniform(reps, event, slot))
+        u = self.uniform(reps, event, slot)
+        np.log1p(np.negative(u, out=u), out=u)
+        return np.negative(u, out=u)
 
     def normal(self, reps, event: int, slot: int = 0):
         return ndtri(self.uniform(reps, event, slot))

@@ -10,7 +10,7 @@ from pdmp_ergo.core import (DomainError, gradient_semigroup_estimate,
                             semigroup_estimate, simulate_ensemble, simulate_path)
 from pdmp_ergo.models import (StorageParams, TcpConstantParams, TcpIncreasingParams,
                               TcpLinearParams, exponential_increment,
-                              make_storage, make_tcp_constant,
+                              make_affine_rate_tcp, make_storage, make_tcp_constant,
                               make_tcp_increasing, make_tcp_linear,
                               make_twisted_tcp_linear)
 from pdmp_ergo.rng import RandomStream
@@ -240,6 +240,34 @@ def test_explosion_guard_trips_in_the_last_chunk(monkeypatch):
     simulate_ensemble(model, np.zeros(20), horizons, RandomStream(2), max_events=20)
 
 
+def test_ensemble_reads_its_inputs_and_never_writes_them(monkeypatch):
+    # the horizons may be a read-only array: the engine only reads them
+    monkeypatch.setattr(core, "_CHUNK", 7)
+    model = make_storage(StorageParams(1.0, exponential_increment(1.0)))
+    x0, horizons = _mixed_ensemble()
+    horizons.flags.writeable = False
+    x0_copy, horizons_copy = x0.copy(), horizons.copy()
+    node = RandomStream(15).substream(4)
+    serial = simulate_ensemble(model, x0, horizons, node)
+    assert np.array_equal(simulate_ensemble(model, x0, horizons, node, workers=2), serial)
+    assert np.array_equal(x0, x0_copy) and np.array_equal(horizons, horizons_copy)
+    dead = horizons == 0
+    assert np.array_equal(serial[dead], x0[dead]) and not np.array_equal(serial, x0)
+    still = simulate_ensemble(model, x0, np.zeros_like(x0), node)
+    assert still is not x0 and np.array_equal(still, x0)
+
+
+def test_explosion_guard_trips_when_few_paths_survive():
+    # most paths finish in the first rounds; the three long ones must still
+    # trip the guard after the alive set has shrunk to them
+    from pdmp_ergo.core import ExplosionError
+    model = make_tcp_constant(TcpConstantParams(rate=50.0, delta=0.5))
+    horizons = np.full(200, 1e-3)
+    horizons[[3, 97, 150]] = 100.0
+    with pytest.raises(ExplosionError, match="more than 20 events in ensemble"):
+        simulate_ensemble(model, np.ones(200), horizons, RandomStream(3), max_events=20)
+
+
 # ---------------------------------------------------------------------------
 # semigroup estimates
 # ---------------------------------------------------------------------------
@@ -332,6 +360,23 @@ def test_gradient_constant_rate_sub_commutation():
     est = gradient_semigroup_estimate(model, lambda x: x, 1.0, 2.0, 100_000, RandomStream(8))
     bound = np.exp(-0.75 * 2.0)
     assert est.value ** 2 <= bound + 3 * (2 * abs(est.value) * est.std_error)
+
+
+@pytest.mark.parametrize("model", [
+    make_tcp_linear(TcpLinearParams(0.5)),
+    make_affine_rate_tcp(1.0, 1.0, 0.5),
+    make_twisted_tcp_linear(0.5),
+], ids=lambda m: m.name)
+def test_gradient_refuses_models_without_synchronous_coupling(model):
+    # the twins' jump clocks depend on the start state, so they can jump
+    # apart and the central difference has no honest standard error
+    f = lambda x: x  # noqa: E731
+    with pytest.raises(ValueError, match="not synchronously coupled"):
+        gradient_semigroup_estimate(model, f, 1.0, 0.5, 16, RandomStream(0))
+    with pytest.raises(ValueError, match="two inner replications"):
+        gradient_semigroup_estimate(model, f, 1.0, 0.5, 1, RandomStream(0))
+    est = gradient_semigroup_estimate(model, f, 1.0, 0.0, 16, RandomStream(0))
+    assert est.value == pytest.approx(1.0, rel=1e-9)
 
 
 def test_gradient_domain_violation():

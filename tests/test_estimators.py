@@ -248,6 +248,15 @@ def test_nested_routes_need_two_inner_replications():
         energy_W(linear, X_FN, mu, 1.0, 1, RandomStream(0))
 
 
+def test_energy_refuses_models_without_synchronous_coupling():
+    from pdmp_ergo.models import make_twisted_tcp_linear
+    mu = uniform_measure(np.linspace(0.2, 3.0, 16))
+    for model in (make_tcp_linear(TcpLinearParams(0.5)), make_affine_rate_tcp(1.0, 1.0, 0.5),
+                  make_twisted_tcp_linear(0.5)):
+        with pytest.raises(ValueError, match="not synchronously coupled"):
+            energy_W(model, X_FN, mu, 1.0, 16, RandomStream(0))
+
+
 def test_energy_time_zero_exact():
     model = make_tcp_linear(TcpLinearParams(0.5))
     mu = uniform_measure(np.linspace(0.2, 4.0, 32))
