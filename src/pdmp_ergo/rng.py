@@ -105,8 +105,7 @@ class EventMarks:
         return z
 
     def uniform(self, reps, event: int, slot: int = 0):
-        # 53-bit mantissa, shifted off zero so the value lies in (0, 1); the
-        # float result overwrites the hash buffer
+        # 53-bit mantissa shifted off zero, so u lies in (0, 1); u reuses h's buffer
         h = self._hash(reps, event, slot)
         h >>= _U64(11)
         u = np.add(h, 0.5, out=h.view(np.float64))
