@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
+
+from .models import quad
 
 __all__ = [
     "BalanceSpec",
@@ -240,8 +241,7 @@ def _panel_cumsum(fn, knots):
     """Integral of fn from the first knot to each knot, panel by panel."""
     out = np.zeros(knots.size)
     for i in range(1, knots.size):
-        piece, _ = integrate.quad(fn, knots[i - 1], knots[i], epsrel=1e-11, limit=200)
-        out[i] = out[i - 1] + piece
+        out[i] = out[i - 1] + quad(fn, knots[i - 1], knots[i], 1e-11)
     return out
 
 
@@ -254,8 +254,7 @@ def _panel_cumsum_backward(fn, knots, tail=0.0):
     out = np.zeros(knots.size)
     out[-1] = tail
     for i in range(knots.size - 2, -1, -1):
-        piece, _ = integrate.quad(fn, knots[i], knots[i + 1], epsrel=1e-11, limit=200)
-        out[i] = out[i + 1] + piece
+        out[i] = out[i + 1] + quad(fn, knots[i], knots[i + 1], 1e-11)
     return out
 
 
@@ -264,11 +263,27 @@ def _branch_sup(prods, knots, product_fn):
     j = int(np.argmax(prods))
     best = float(prods[j])
     if 0 < j < knots.size - 1:
-        res = optimize.minimize_scalar(
-            lambda x: -product_fn(x), bounds=(knots[j - 1], knots[j + 1]),
-            method="bounded", options={"xatol": 1e-10})
-        best = max(best, float(-res.fun))
+        _, low = minimize_bounded(lambda x: -product_fn(x), knots[j - 1], knots[j + 1], 1e-10)
+        best = max(best, -low)
     return best
+
+
+def minimize_bounded(fn, lo: float, hi: float, xatol: float):
+    """Golden-section search for a minimum of a scalar fn on [lo, hi]:
+    (x, fn(x)) at the better inner point once the bracket is within xatol."""
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = fn(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
@@ -294,7 +309,7 @@ def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
     def right_sup(x_high):
         knots = np.unique(np.concatenate([
             np.linspace(m, x_high, 129), np.geomspace(m, x_high, 129)]))
-        tail, _ = integrate.quad(rho, x_high, np.inf, epsrel=1e-11, limit=200)
+        tail = quad(rho, x_high, np.inf, 1e-11)
         if not np.isfinite(tail):
             raise ValueError("tail mass integral diverges")
         surv = _panel_cumsum_backward(rho, knots, tail=tail)
@@ -302,8 +317,8 @@ def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
         prods = surv * recip
 
         def product(x):
-            s = integrate.quad(rho, x, x_high, epsrel=1e-11, limit=200)[0] + tail
-            r = integrate.quad(inv_rho, m, x, epsrel=1e-11, limit=200)[0]
+            s = quad(rho, x, x_high, 1e-11) + tail
+            r = quad(inv_rho, m, x, 1e-11)
             return s * r
 
         return _branch_sup(prods, knots, product)
@@ -321,14 +336,14 @@ def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
     lo = m * 1e-8
     knots = np.unique(np.concatenate([
         np.linspace(lo, m, 129), np.geomspace(lo, m, 129)]))
-    head, _ = integrate.quad(rho, 0.0, knots[0], epsrel=1e-11, limit=200)
+    head = quad(rho, 0.0, knots[0], 1e-11)
     mass = head + _panel_cumsum(rho, knots)
     recip = _panel_cumsum_backward(inv_rho, knots, tail=0.0)
     prods = mass * recip
 
     def left_product(x):
-        p = integrate.quad(rho, 0.0, x, epsrel=1e-11, limit=200)[0]
-        r = integrate.quad(inv_rho, x, m, epsrel=1e-11, limit=200)[0]
+        p = quad(rho, 0.0, x, 1e-11)
+        r = quad(inv_rho, x, m, 1e-11)
         return p * r
 
     b_left = _branch_sup(prods, knots, left_product)

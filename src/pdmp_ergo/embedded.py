@@ -18,9 +18,9 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .core import Model, ensemble_states_at
+from .models import quad
 from .rng import RandomStream
 
 __all__ = [
@@ -279,7 +279,7 @@ def _survival_table(model: Model, x: float, tol: float = 1e-10):
             raise ValueError("survival mass does not decay; normaliser diverges")
     grid = np.linspace(0.0, horizon, 4097)
     dens = np.exp(-np.asarray(model.cum_rate(np.full(grid.shape, x), grid), dtype=float))
-    cdf = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (dens[1:] + dens[:-1]) / 2.0)])
     total = cdf[-1]
     if not np.isfinite(total) or total <= 0:
         raise ValueError("survival normaliser is not finite")
@@ -364,8 +364,7 @@ def h_function(model: Model, x) -> float:
     val = 0.0
     lo = 0.0
     for _ in range(64):
-        piece, _err = integrate.quad(integrand, lo, horizon, epsrel=1e-10, limit=200)
-        val += piece
+        val += quad(integrand, lo, horizon, 1e-10)
         tail_rate = float(model.rate(model.flow(x, horizon)))
         tail_surv = float(integrand(horizon))
         if tail_rate > 0 and tail_surv / tail_rate < 1e-8 * max(val, 1e-300):

@@ -13,13 +13,14 @@ accept arrays, so the vectorised engine can drive them directly.
 
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erfcx, roots_legendre
+from scipy.special import erfcx
 
 from .core import Model
 
@@ -364,32 +365,87 @@ def make_storage(params: StorageParams) -> Model:
 
 
 # ---------------------------------------------------------------------------
+# the one Gauss-Legendre rule: tables, chart and adaptive quadrature
+# ---------------------------------------------------------------------------
+
+# the 16-point rule on [-1, 1], to the bit what scipy.special.roots_legendre(16)
+# gives; calling that function would import a linear-algebra module at run time
+_GL_X = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.4580167776572274, -0.2816035507792589, -0.09501250983763745,
+    0.09501250983763745, 0.2816035507792589, 0.4580167776572274, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
+_GL_W = np.array([
+    0.027152459411756466, 0.06225352393864763, 0.09515851168249231, 0.12462897125553363,
+    0.14959598881657638, 0.16915651939500212, 0.18260341504492328, 0.1894506104550681,
+    0.1894506104550681, 0.18260341504492328, 0.16915651939500212, 0.14959598881657638,
+    0.12462897125553363, 0.09515851168249231, 0.06225352393864763, 0.027152459411756466])
+
+_QUAD_PANELS = 200  # bisection budget of quad
+
+
+def quad(fn, a: float, b: float, epsrel: float) -> float:
+    """Integral of a scalar fn over [a, b]; ``b`` may be ``inf``.
+
+    Adaptive bisection of 16-point panels, the panel with the largest error
+    first, where a panel's error is |I(a,b) - I(a,m) - I(m,b)|.  An infinite
+    upper limit is mapped to [0, 1) by x = a + t/(1-t).  Raises ValueError
+    when ``_QUAD_PANELS`` bisections leave the summed error above
+    ``epsrel`` times the integral.
+    """
+    if b == np.inf:
+        f, a0 = fn, a
+        fn = lambda t: f(a0 + t / (1.0 - t)) / (1.0 - t) ** 2  # noqa: E731
+        a, b = 0.0, 1.0
+    pairs = tuple(zip(_GL_X.tolist(), _GL_W.tolist()))
+
+    def rule(lo, hi):
+        h, c = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        return h * sum(w * float(fn(c + h * x)) for x, w in pairs)
+
+    def split(lo, hi, whole):
+        m = 0.5 * (lo + hi)
+        left, right = rule(lo, m), rule(m, hi)
+        return -abs(whole - left - right), lo, m, hi, left, right
+
+    heap = [split(a, b, rule(a, b))]
+    for _ in range(_QUAD_PANELS):
+        total = sum(p[4] + p[5] for p in heap)
+        if -sum(p[0] for p in heap) <= epsrel * abs(total):
+            return total
+        _, lo, m, hi, left, right = heapq.heappop(heap)
+        heapq.heappush(heap, split(lo, m, left))
+        heapq.heappush(heap, split(m, hi, right))
+    raise ValueError(f"integral did not converge to rtol {epsrel:g} in {_QUAD_PANELS} bisections")
+
+
+# ---------------------------------------------------------------------------
 # nondecreasing-rate model: quadrature table along the unit-speed flow
 # ---------------------------------------------------------------------------
 
 class UnitFlowCumRate:
     """Cumulative rate integral along x -> x + t, panel Gauss-Legendre.
 
-    ``value(y)`` integrates the rate from 0 to y exactly to quadrature
-    precision (no interpolation of the integral itself); ``inverse(v)``
-    solves value(y) = v by a bracketed Newton iteration and raises unless
-    every residual is within ``rtol * max(1, v)``.  Both are pure functions
-    of each point, whatever batch it comes in.  The table extends itself by
-    doubling when queried beyond its current range.
+    ``value(y)`` integrates the rate from 0 to y with the fixed 16-point
+    rule on each panel, exactly to quadrature precision (no interpolation
+    of the integral itself); ``inverse(v)`` solves value(y) = v by a
+    bracketed Newton iteration and raises unless every residual is within
+    ``rtol * max(1, v)``.  Both are pure functions of each point, whatever
+    batch it comes in.  The table extends itself by doubling when queried
+    beyond its current range.
     """
 
     _MAX_NEWTON = 60
 
     def __init__(self, rate_fn: Callable, y_high: float = 512.0, step: float = 0.25,
-                 y_cap: float = 1e7, nodes: int = 24, rtol: float = 1e-12):
+                 y_cap: float = 1e7, rtol: float = 1e-12):
         self._rate = rate_fn
         self._step = float(step)
         self._y_cap = float(y_cap)
         self._rtol = float(rtol)
         self._lock = threading.Lock()
-        gl_x, gl_w = roots_legendre(nodes)
-        self._gx = 0.5 * (gl_x + 1.0)
-        self._gw = 0.5 * gl_w
+        self._gx = 0.5 * (_GL_X + 1.0)
+        self._gw = 0.5 * _GL_W
         # (edges, cumulative integral): swapped whole under the lock, read once
         self._table = (np.array([0.0]), np.array([0.0]))
         self._extend_to(y_high)
@@ -540,7 +596,7 @@ class PsiChart:
         self.x_cut = float(x_cut)
         w_max = math.sqrt(self.x_cut)
         self._table = UnitFlowCumRate(self._q, y_high=w_max, step=w_max / n_panels,
-                                      nodes=16, rtol=8.0 * np.finfo(float).eps)
+                                      rtol=8.0 * np.finfo(float).eps)
         self._top = self._table.value(w_max)
         self.offset = self._top - self.x_cut
 

@@ -15,7 +15,8 @@ from pdmp_ergo.certificates import (BalanceSpec, ConfiningProfile,
                                     certify_tcp_increasing, certify_tcp_linear,
                                     confining_compose, confining_fixed_point,
                                     generalized_poincare_alpha,
-                                    muckenhoupt_bound, perturb_logsob,
+                                    minimize_bounded, muckenhoupt_bound,
+                                    perturb_logsob,
                                     perturb_logsob_grid, perturb_poincare,
                                     push_through, tcp_linear_balance_envelope,
                                     theta_constant)
@@ -158,6 +159,16 @@ def test_muckenhoupt_half_normal_finite():
         lambda x: math.sqrt(2.0 / math.pi) * math.exp(-0.5 * x * x),
         0.6744897501960817)
     assert np.isfinite(b) and 0 < lo < hi
+
+
+@pytest.mark.parametrize("fn, lo, hi, at", [
+    (lambda x: (x - math.log(2.0)) ** 2 * (1.0 + x), 0.0, 1.0, math.log(2.0)),
+    (lambda x: abs(x - 0.3), -2.0, 7.0, 0.3),
+    (lambda x: (x - 4.9) ** 2, 4.5, 5.0, 4.9),
+])
+def test_minimize_bounded_finds_an_interior_minimum(fn, lo, hi, at):
+    x, fx = minimize_bounded(fn, lo, hi, 1e-10)
+    assert abs(x - at) <= 1e-9 and fx == fn(x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,18 @@ from pdmp_ergo.models import (StorageParams, TcpConstantParams, TcpIncreasingPar
                               make_twisted_tcp_linear)
 from pdmp_ergo.rng import RandomStream
 
+# No engine call in this module needs more than 43 rounds of the event loop.
+# Capping them turns an engine that stops spending the remaining time into
+# an ExplosionError within seconds instead of a hang.
+ROUNDS = 1000
+
+
+@pytest.fixture(autouse=True)
+def bounded_rounds(monkeypatch):
+    advance = core._advance
+    monkeypatch.setattr(core, "_advance", lambda model, x, t, lo, marks, max_events: advance(
+        model, x, t, lo, marks, min(max_events, ROUNDS)))
+
 
 class FixedExponential:
     def __init__(self, value):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, _csv_rows, chain_invariant_sample,
+from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, _csv_rows, _survival_table,
+                                chain_invariant_sample,
                                 chain_sample_matrix, chain_step, h_function,
                                 kernel_K_sample, kernel_Ktilde_sample, reconstruct_mu,
                                 reweight_and_push, time_average_states)
@@ -195,6 +196,16 @@ def test_generic_length_biased_path_matches_closed_form():
     out = kernel_Ktilde_sample(model, np.zeros(200_000), RandomStream(10))
     se = out.std(ddof=1) / np.sqrt(out.size)
     assert abs(out.mean() - 0.5) <= max(3 * se, 2e-3)
+
+
+@pytest.mark.parametrize("model", [linear_model(), constant_model(rate=2.0)],
+                         ids=lambda m: m.name)
+def test_survival_table_is_scipy_cumulative_trapezoid_to_the_bit(model):
+    for x in (0.0, 0.7, 3.0):
+        grid, cdf = _survival_table(model, x)
+        dens = np.exp(-np.asarray(model.cum_rate(np.full(grid.shape, x), grid), dtype=float))
+        ref = integrate.cumulative_trapezoid(dens, grid, initial=0.0)
+        assert np.array_equal(cdf, ref / ref[-1])
 
 
 # ---------------------------------------------------------------------------

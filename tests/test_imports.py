@@ -1,0 +1,44 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# scipy is used for scipy.special only; a run that loads one of these pays
+# for it in every fresh process
+UNUSED = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+
+STAGES = """
+import sys
+import numpy as np
+
+def check(stage):
+    loaded = [m for m in {unused!r} if m in sys.modules]
+    if loaded:
+        sys.exit(f"{{stage}} loaded {{loaded}}")
+
+import pdmp_ergo.cli
+check("import pdmp_ergo.cli")
+from pdmp_ergo import models
+models.psi_chart()
+check("models.psi_chart()")
+model = models.make_tcp_increasing(models.TcpIncreasingParams(
+    rate_fn=lambda x: 1.0 + np.log1p(np.asarray(x, dtype=float)),
+    lambda_star=1.0, kappa=1.0, delta=0.5))
+model.inv_cum_rate(np.ones(4), model.cum_rate(np.ones(4), 2.0))
+check("make_tcp_increasing with a table")
+with open({cfg!r}, "w") as fh:
+    fh.write("model = twisted_tcp_linear\\ndelta = 0.5\\nseed = 0\\n")
+assert pdmp_ergo.cli.main(["certify", "--config", {cfg!r}, "--out", {out!r}]) == 0
+check("certify twisted_tcp_linear")
+"""
+
+
+def test_runs_load_no_integrate_optimize_or_linalg(tmp_path):
+    code = STAGES.format(unused=UNUSED, cfg=str(tmp_path / "run.cfg"), out=str(tmp_path / "out"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

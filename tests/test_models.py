@@ -1,11 +1,13 @@
 import dataclasses
+import math
 import sys
 import threading
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+from pdmp_ergo import models
 from pdmp_ergo.core import ensemble_states_at, simulate_ensemble
 from pdmp_ergo.embedded import chain_sample_matrix, kernel_Ktilde_sample
 from pdmp_ergo.models import (PsiChart, StorageParams, TcpConstantParams,
@@ -229,6 +231,36 @@ def test_rate_table_and_chart_values_never_depend_on_the_batch():
         assert np.array_equal(sliced, whole)
         assert np.array_equal(f(y[::-1]), whole[::-1])
         assert all(f(y[i:i + 1])[0] == whole[i] for i in range(0, y.size, 97))
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule and the adaptive quadrature built on it
+# ---------------------------------------------------------------------------
+
+def test_rule_is_the_scipy_16_point_rule_to_the_bit():
+    nodes, weights = special.roots_legendre(16)
+    assert np.array_equal(models._GL_X, nodes)
+    assert np.array_equal(models._GL_W, weights)
+
+
+@pytest.mark.parametrize("fn, a, b", [
+    (lambda x: math.exp(-x), 0.0, np.inf),
+    (lambda x: math.exp(-0.5 * x * x), 0.0, np.inf),
+    (lambda x: math.exp(-0.5 * x * x), -1.0, 2.5),
+    (lambda x: math.exp(-x), 7.0, np.inf),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, np.inf),
+    (lambda x: math.exp(0.5 * x * x), 0.5, 27.0),
+    (math.sqrt, 0.0, 2.0),
+], ids=["exp", "half_gauss", "gauss_window", "exp_tail", "cauchy", "steep", "sqrt"])
+def test_quad_matches_scipy(fn, a, b):
+    ref, _ = integrate.quad(fn, a, b, epsabs=0.0, epsrel=1e-13, limit=500)
+    assert models.quad(fn, a, b, 1e-12) == pytest.approx(ref, rel=1e-11, abs=0)
+
+
+def test_quad_raises_on_a_divergent_integral():
+    # scipy's quad only warns here and returns a number
+    with pytest.raises(ValueError, match="did not converge"):
+        models.quad(lambda x: 1.0 / x, 0.0, 1.0, 1e-11)
 
 
 # ---------------------------------------------------------------------------
