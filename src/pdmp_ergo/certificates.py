@@ -269,12 +269,12 @@ def _branch_sup(prods, knots, product_fn):
 
 
 def minimize_bounded(fn, lo: float, hi: float, xatol: float):
-    """Golden-section search for a minimum of a scalar fn on [lo, hi]:
-    (x, fn(x)) at the better inner point once the bracket is within xatol."""
+    """Golden-section search for a minimum of a scalar fn on [lo, hi]: (x, fn(x))
+    at the better inner point once the bracket is within xatol + 8 ulps."""
     g = 0.5 * (math.sqrt(5.0) - 1.0)
     c, d = hi - g * (hi - lo), lo + g * (hi - lo)
     fc, fd = fn(c), fn(d)
-    while hi - lo > xatol:
+    while hi - lo > xatol + 8.0 * math.ulp(max(abs(lo), abs(hi))):
         if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - g * (hi - lo)
@@ -302,7 +302,7 @@ def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
 
     def inv_rho(x):
         d = float(density(x))
-        if d <= 0.0:
+        if not d > 0.0 or math.isinf(1.0 / d):
             raise ValueError("density vanished; reciprocal-density integral diverges")
         return 1.0 / d
 
@@ -310,8 +310,6 @@ def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
         knots = np.unique(np.concatenate([
             np.linspace(m, x_high, 129), np.geomspace(m, x_high, 129)]))
         tail = quad(rho, x_high, np.inf, 1e-11)
-        if not np.isfinite(tail):
-            raise ValueError("tail mass integral diverges")
         surv = _panel_cumsum_backward(rho, knots, tail=tail)
         recip = _panel_cumsum(inv_rho, knots)
         prods = surv * recip
@@ -342,7 +340,7 @@ def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
     prods = mass * recip
 
     def left_product(x):
-        p = quad(rho, 0.0, x, 1e-11)
+        p = head + quad(rho, knots[0], x, 1e-11)
         r = quad(inv_rho, x, m, 1e-11)
         return p * r
 

@@ -171,6 +171,55 @@ def test_minimize_bounded_finds_an_interior_minimum(fn, lo, hi, at):
     assert abs(x - at) <= 1e-9 and fx == fn(x)
 
 
+@pytest.mark.parametrize("at", [6e5, 1e7, 3.3e9])
+@pytest.mark.parametrize("shape", [lambda u: u * u, abs], ids=["square", "abs"])
+def test_minimize_bounded_stops_where_float_steps_exceed_xatol(at, shape):
+    # above about 5e5 adjacent floats lie more than 1e-10 apart, so a bracket
+    # cannot shrink to xatol; a budget of calls turns a hang into a failure
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        assert len(calls) < 1000, "golden-section search does not stop"
+        return shape(x - at)
+
+    x, fx = minimize_bounded(fn, at - 3.0, at + 5.0, 1e-10)
+    assert abs(x - at) <= 8 * math.ulp(at) and fx == fn(x)
+
+
+def test_muckenhoupt_median_near_a_million():
+    # the exponential law of median 1e6: B = 1/rate^2; the polish runs at
+    # points whose float steps exceed its xatol, and a budget of density
+    # calls turns a search that does not stop into a failure
+    rate = math.log(2.0) / 1e6
+    calls = []
+
+    def density(x):
+        calls.append(x)
+        assert len(calls) < 2_000_000, "muckenhoupt_bound does not stop"
+        return rate * math.exp(-rate * x)
+
+    b, _, _ = muckenhoupt_bound(density, 1e6, quad_tol=1e-9 / rate ** 2)
+    assert abs(b * rate ** 2 - 1.0) <= 1e-6
+
+
+def test_muckenhoupt_refuses_a_density_that_underflows():
+    # with no growth tolerance the right branch doubles until the density is
+    # subnormal and its reciprocal overflows: that counts as vanishing
+    with pytest.raises(ValueError, match="density vanished"):
+        muckenhoupt_bound(lambda x: math.exp(-x), math.log(2.0), quad_tol=0.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.95])
+def test_muckenhoupt_density_with_a_power_singularity_at_zero(p):
+    # c x^-p on (0, 1], c e^(1-x) beyond: the right branch tends to 1 and wins
+    c = (1.0 - p) / (2.0 - p)
+    median = (0.5 * (2.0 - p)) ** (1.0 / (1.0 - p))
+    b, _, _ = muckenhoupt_bound(lambda x: c * x ** -p if x <= 1.0 else c * math.exp(1.0 - x),
+                                median)
+    assert abs(b - 1.0) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # perturbation formulas
 # ---------------------------------------------------------------------------

@@ -257,6 +257,25 @@ def test_quad_matches_scipy(fn, a, b):
     assert models.quad(fn, a, b, 1e-12) == pytest.approx(ref, rel=1e-11, abs=0)
 
 
+@pytest.mark.parametrize("p", [0.5, 0.9])
+def test_quad_on_an_integrable_end_singularity(p):
+    # the end panel's error shrinks by 2^-(1-p) a bisection, and the halving
+    # estimate undercounts the remaining error by about 1/(2^(1-p) - 1)
+    got = models.quad(lambda x: x ** -p, 0.0, 1.0, 1e-11)
+    assert abs(got * (1.0 - p) - 1.0) <= 1.5e-11 / (2.0 ** (1.0 - p) - 1.0)
+
+
+@pytest.mark.parametrize("fn, a, exact", [
+    (lambda x: 1e-9 * math.exp(-1e-9 * x), 0.0, 1.0),
+    (lambda x: 1e-12 * math.exp(-1e-12 * x), 1e12, math.exp(-1.0)),
+    (lambda x: x ** -3, 1e6, 5e-13),
+], ids=["exp", "exp_tail", "power_tail"])
+def test_quad_on_a_far_tail(fn, a, exact):
+    # the tail map x = a + (1-t)/t keeps t exact where the mass sits; under
+    # x = a + t/(1-t) the mass would sit within 1e-9 of t = 1
+    assert models.quad(fn, a, np.inf, 1e-11) == pytest.approx(exact, rel=1e-11, abs=0)
+
+
 def test_quad_raises_on_a_divergent_integral():
     # scipy's quad only warns here and returns a number
     with pytest.raises(ValueError, match="did not converge"):
