@@ -237,25 +237,14 @@ def push_through(profile: ConfiningProfile, input_c: float) -> float:
 # half-line integral criterion
 # ---------------------------------------------------------------------------
 
-def _panel_cumsum(fn, knots):
-    """Integral of fn from the first knot to each knot, panel by panel."""
-    out = np.zeros(knots.size)
-    for i in range(1, knots.size):
-        out[i] = out[i - 1] + quad(fn, knots[i - 1], knots[i], 1e-11)
-    return out
+def _panel_quads(fn, knots):
+    """Integral of fn over each panel between consecutive knots.
 
-
-def _panel_cumsum_backward(fn, knots, tail=0.0):
-    """Integral of fn from each knot to the last one plus a tail beyond it.
-
-    Accumulated backward so that small survival masses keep their relative
-    accuracy (a forward running sum would cancel catastrophically).
+    Callers sum them forward, or backward from a tail so that small
+    survival masses keep their relative accuracy (a forward running sum
+    would cancel catastrophically).
     """
-    out = np.zeros(knots.size)
-    out[-1] = tail
-    for i in range(knots.size - 2, -1, -1):
-        out[i] = out[i + 1] + quad(fn, knots[i], knots[i + 1], 1e-11)
-    return out
+    return np.array([quad(fn, lo, hi, 1e-11) for lo, hi in zip(knots[:-1], knots[1:])])
 
 
 def _branch_sup(prods, knots, product_fn):
@@ -310,8 +299,8 @@ def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
         knots = np.unique(np.concatenate([
             np.linspace(m, x_high, 129), np.geomspace(m, x_high, 129)]))
         tail = quad(rho, x_high, np.inf, 1e-11)
-        surv = _panel_cumsum_backward(rho, knots, tail=tail)
-        recip = _panel_cumsum(inv_rho, knots)
+        surv = np.cumsum(np.append(tail, _panel_quads(rho, knots)[::-1]))[::-1]
+        recip = np.cumsum(np.append(0.0, _panel_quads(inv_rho, knots)))
         prods = surv * recip
 
         def product(x):
@@ -335,8 +324,8 @@ def muckenhoupt_bound(density: Callable, median: float, quad_tol: float = 1e-9):
     knots = np.unique(np.concatenate([
         np.linspace(lo, m, 129), np.geomspace(lo, m, 129)]))
     head = quad(rho, 0.0, knots[0], 1e-11)
-    mass = head + _panel_cumsum(rho, knots)
-    recip = _panel_cumsum_backward(inv_rho, knots, tail=0.0)
+    mass = head + np.cumsum(np.append(0.0, _panel_quads(rho, knots)))
+    recip = np.cumsum(np.append(0.0, _panel_quads(inv_rho, knots)[::-1]))[::-1]
     prods = mass * recip
 
     def left_product(x):
@@ -521,29 +510,6 @@ def certify_tcp_increasing(lambda_star: float, delta: float, kappa: float,
     )
 
 
-def _golden_max_log(fn: Callable, lo: float, hi: float, tol: float = 1e-12,
-                    iters: int = 200):
-    """Golden-section maximum of fn over [lo, hi] searched in log spacing."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = math.log(lo), math.log(hi)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(math.exp(c)), fn(math.exp(d))
-    for _ in range(iters):
-        if b - a < tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(math.exp(d))
-    x = math.exp(0.5 * (a + b))
-    return x, fn(x)
-
-
 @dataclass(frozen=True)
 class TcpLinearCertificate:
     delta: float
@@ -568,11 +534,13 @@ def certify_tcp_linear(delta: float) -> TcpLinearCertificate:
     log-Lipschitz perturbation by the normalised mean-residual density
     (epsilon fixed at one half, where the reciprocal mean has an analytic
     bound), push through the length-biased kernel to the weighted xlogx
-    constant for the process law, then optimise the mixing parameter of
-    the energy/variance decay.  All bounds are analytic.
+    constant for the process law, then maximise the energy/variance decay
+    exponent over the mixing parameter, in closed form.  All bounds are
+    analytic.  At delta = 0 the chain law is the point mass at zero and
+    its constant vanishes.
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0,1)")
+    if not 0.0 <= delta < 1.0:
+        raise ValueError("delta must lie in [0,1)")
     theta = theta_constant()
     sq = math.sqrt(delta)
     c_nu = 4.0 * sq / (1.0 - sq)
@@ -585,9 +553,11 @@ def certify_tcp_linear(delta: float) -> TcpLinearCertificate:
     wls_c = push_through(ConfiningProfile(4.0, 1.0, 1.0), c2)
     c1w = wls_c
     a_rate = (1.0 - delta) * theta
-    beta_lo = 1.01 / a_rate
-    beta_opt, rate_r = _golden_max_log(
-        lambda b: (a_rate - 1.0 / b) / (1.0 + b * c1w), beta_lo, 1e3)
+    # with u = 1/beta the exponent is u (a - u)/(u + c1), whose derivative
+    # vanishes where u^2 + 2 c1 u = a c1: the positive root, free of cancellation
+    u = a_rate * c1w / (c1w + math.sqrt(c1w * (c1w + a_rate)))
+    beta_opt = 1.0 / u
+    rate_r = (a_rate - u) / (1.0 + beta_opt * c1w)
     entropy_c = wls_c * (1.0 + beta_opt * c1w)
     ledger = [
         ("theta", theta, "minimum of x + 1/(e^x - 1) on the half-line"),
@@ -600,7 +570,8 @@ def certify_tcp_linear(delta: float) -> TcpLinearCertificate:
         ("perturbed_logsob_c", c2, "log-Lipschitz perturbation at epsilon = 1/2"),
         ("weighted_logsob_c", wls_c, "push through the (4,1,1) length-biased kernel"),
         ("weighted_poincare_c", c1w, "entropy-order monotonicity: same constant works"),
-        ("beta_opt", beta_opt, "golden-section maximiser of the mixed decay exponent"),
+        ("beta_opt", beta_opt,
+         "closed-form maximiser 1/u: u = a c1/(c1 + sqrt(c1^2 + a c1)) with a = (1-delta) theta"),
         ("rate_r", rate_r, "((1-delta) theta - 1/beta)/(1 + beta c1)"),
         ("entropy_c", entropy_c, "weighted xlogx constant times the mixing prefactor"),
     ]

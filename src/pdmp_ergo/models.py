@@ -5,7 +5,8 @@ process with constant jump rate, the same with linearly growing rate, the
 same with a general nondecreasing rate (numeric rate integral), and the
 storage process (exponential decay between upward jumps).  A fifth model
 is the linear-rate process conjugated by the concave chart that flattens
-its gradient weight.
+its gradient weight, psi(x) = 2 artanh sqrt(1 - exp(-x)), which is
+inverted in closed form too.
 
 Every factory returns a :class:`~pdmp_ergo.core.Model` whose callables
 accept arrays, so the vectorised engine can drive them directly.
@@ -365,7 +366,7 @@ def make_storage(params: StorageParams) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# the one Gauss-Legendre rule: tables, chart and adaptive quadrature
+# the one Gauss-Legendre rule: rate tables and adaptive quadrature
 # ---------------------------------------------------------------------------
 
 # the 16-point rule on [-1, 1], to the bit what scipy.special.roots_legendre(16)
@@ -433,19 +434,19 @@ class UnitFlowCumRate:
     rule on each panel, exactly to quadrature precision (no interpolation
     of the integral itself); ``inverse(v)`` solves value(y) = v by a
     bracketed Newton iteration and raises unless every residual is within
-    ``rtol * max(1, v)``.  Both are pure functions of each point, whatever
+    ``_RTOL * max(1, v)``.  Both are pure functions of each point, whatever
     batch it comes in.  The table extends itself by doubling when queried
     beyond its current range.
     """
 
     _MAX_NEWTON = 60
+    _RTOL = 1e-12
 
     def __init__(self, rate_fn: Callable, y_high: float = 512.0, step: float = 0.25,
-                 y_cap: float = 1e7, rtol: float = 1e-12):
+                 y_cap: float = 1e7):
         self._rate = rate_fn
         self._step = float(step)
         self._y_cap = float(y_cap)
-        self._rtol = float(rtol)
         self._lock = threading.Lock()
         self._gx = 0.5 * (_GL_X + 1.0)
         self._gw = 0.5 * _GL_W
@@ -513,7 +514,7 @@ class UnitFlowCumRate:
         todo = np.arange(flat.size)
         resid = self.value(y) - flat
         for _ in range(self._MAX_NEWTON):
-            open_ = ~(np.abs(resid) <= self._rtol * np.maximum(1.0, flat[todo]))
+            open_ = ~(np.abs(resid) <= self._RTOL * np.maximum(1.0, flat[todo]))
             todo, resid = todo[open_], resid[open_]
             if not todo.size:
                 break
@@ -585,59 +586,38 @@ def make_affine_rate_tcp(lambda_star: float, slope: float, delta: float,
 class PsiChart:
     """The concave chart psi(x) = integral of weight^{-1/2} from 0 to x.
 
-    With weight 1 - exp(-x) the integrand has an inverse-square-root
-    singularity at zero; substituting x = w^2 removes it, so the chart is
-    a cumulative table in w (panel Gauss-Legendre, evaluated by exact panel
-    quadrature, inverted by Newton to 8 ulps of the chart value).  Beyond
-    ``x_cut`` the integrand is 1 to machine precision and the chart
-    continues as a unit-slope line.
+    With weight 1 - exp(-x) the integral is 2 artanh sqrt(1 - exp(-x)),
+    evaluated as x + 2 log1p(sqrt(-expm1(-x))), so psi(x) - x rises to
+    log 4.  The inverse is 2 log cosh(z/2): 2 log1p(2 sinh^2(z/4)) below
+    ``_SWITCH``, and from there on z - log 4 + 2 log1p(exp(-z)), which
+    never overflows (sinh^2(z/4) does past z of about 2840).  Both agree
+    with the exact values to about one ulp, point by point.
     """
 
     name = "twisted"
-
-    def __init__(self, x_cut: float = 30.0, n_panels: int = 2048):
-        self.x_cut = float(x_cut)
-        w_max = math.sqrt(self.x_cut)
-        self._table = UnitFlowCumRate(self._q, y_high=w_max, step=w_max / n_panels,
-                                      rtol=8.0 * np.finfo(float).eps)
-        self._top = self._table.value(w_max)
-        self.offset = self._top - self.x_cut
-
-    @staticmethod
-    def _q(w):
-        """d psi(w^2) / dw = 2 w / sqrt(1-exp(-w^2)), extended smoothly to 0."""
-        w = np.asarray(w, dtype=float)
-        w2 = w * w
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = 2.0 * w / np.sqrt(-np.expm1(-w2))
-        return np.where(w2 < 1e-8, 2.0 + 0.5 * w2, q)
+    _SWITCH = 40.0
 
     def psi(self, x):
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise ValueError("chart argument must be nonnegative")
-        near = self._table.value(np.sqrt(np.minimum(x, self.x_cut)))
-        out = np.where(x >= self.x_cut, x + self.offset, near)
+        out = x + 2.0 * np.log1p(np.sqrt(-np.expm1(-x)))
         return out if out.ndim else float(out)
 
     def psi_inv(self, z):
         z = np.asarray(z, dtype=float)
         if np.any(z < 0):
             raise ValueError("chart value must be nonnegative")
-        w = self._table.inverse(np.minimum(z, self._top))
-        out = np.where(z >= self._top, z - self.offset, w * w)
+        near = 2.0 * np.log1p(2.0 * np.sinh(0.25 * np.minimum(z, self._SWITCH)) ** 2)
+        far = z - math.log(4.0) + 2.0 * np.log1p(np.exp(-z))
+        out = np.where(z < self._SWITCH, near, far)
         return out if out.ndim else float(out)
 
 
-_CHART_LOCK = threading.Lock()
-_CHART: Optional[PsiChart] = None
+_CHART = PsiChart()
 
 
 def psi_chart() -> PsiChart:
-    global _CHART
-    with _CHART_LOCK:
-        if _CHART is None:
-            _CHART = PsiChart()
     return _CHART
 
 

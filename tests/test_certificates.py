@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,6 +333,49 @@ def test_certify_linear_limits():
     small = certify_tcp_linear(1e-4)
     assert small.chain_logsob_c < 0.05  # bottleneck vanishes with the jump size
     assert np.isfinite(small.entropy_c)
+
+
+LINEAR_DELTAS = [0.0, 1e-6, 0.5, 0.9, 0.99, 0.999, 0.9995, 0.999999]
+
+
+@pytest.mark.parametrize("delta", LINEAR_DELTAS)
+def test_certify_linear_beta_zeroes_the_exponent_derivative(delta):
+    # d/dbeta of (a - 1/beta)/(1 + beta c) times beta^2 (1 + beta c)^2 is
+    # 1 + 2 c beta - a c beta^2; evaluated exactly in rationals
+    cert = certify_tcp_linear(delta)
+    a = Fraction((1.0 - delta) * cert.theta)
+    c, b = Fraction(cert.weighted_poincare_c), Fraction(cert.beta_opt)
+    terms = (1, 2 * c * b, -a * c * b * b)
+    assert abs(sum(terms)) <= 1e-10 * sum(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("delta", LINEAR_DELTAS)
+def test_certify_linear_rate_beats_a_dense_beta_grid(delta):
+    cert = certify_tcp_linear(delta)
+    a, c = (1.0 - delta) * cert.theta, cert.weighted_poincare_c
+    beta = np.geomspace(1.01 / a, 10.0 * cert.beta_opt, 200_001)
+    rates = (a - 1.0 / beta) / (1.0 + beta * c)
+    assert rates.max() <= cert.rate_r * (1.0 + 8.0 * np.finfo(float).eps)
+    assert cert.rate_r == pytest.approx((a - 1.0 / cert.beta_opt) / (1.0 + cert.beta_opt * c),
+                                        rel=4e-16)
+    assert 0.0 < cert.rate_r < a
+
+
+def test_certify_linear_at_zero_delta():
+    # the chain law is the point mass at zero: its constant vanishes and the
+    # process constant is the length-biased kernel's alone
+    cert = certify_tcp_linear(0.0)
+    assert cert.chain_logsob_c == 0.0 and cert.perturbed_logsob_c == 0.0
+    assert cert.weighted_logsob_c == 4.0
+    assert all(math.isfinite(v) for _, v, _ in cert.ledger)
+    with pytest.raises(ValueError, match="delta"):
+        certify_tcp_linear(-1e-300)
+
+
+def test_certify_linear_names_the_closed_form():
+    derivation = {k: d for k, _, d in certify_tcp_linear(0.5).ledger}
+    assert derivation["beta_opt"].startswith("closed-form maximiser")
+    assert "golden" not in derivation["beta_opt"]
 
 
 def test_certify_linear_audit_lines():

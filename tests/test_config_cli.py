@@ -228,6 +228,46 @@ def test_cli_certify_ledger_contents(tmp_path):
     assert ledger["poincare_c"].startswith("5.333333333333333")
 
 
+def read_ledger(out, experiment):
+    lines = open(os.path.join(out, experiment, "ledger.csv")).read().splitlines()
+    return {row.split(",")[0]: row.split(",")[1] for row in lines[1:]}
+
+
+@pytest.mark.parametrize("delta", ["0.999", "0.9995", "0.999999"])
+def test_cli_certify_linear_near_one(tmp_path, delta):
+    # the optimal mixing parameter grows like 1/(1-delta), past any fixed bracket
+    cfg = write_config(tmp_path, "run.cfg", f"model = tcp_linear\ndelta = {delta}\n")
+    out = str(tmp_path / "near")
+    assert main(["certify", "--config", cfg, "--out", out]) == 0
+    ledger = read_ledger(out, "certify")
+    upper = (1.0 - float(delta)) * float(ledger["theta"])
+    assert 0.0 < float(ledger["rate_r"]) < upper
+
+
+ZERO_DELTA_RUN = """
+delta = 0
+seed = 3
+n_outer = 400
+n_inner = 16
+chain_length = 4000
+burn_in = 100
+time_grid = 0,1,2
+"""
+
+
+@pytest.mark.parametrize("model", ["tcp_linear", "twisted_tcp_linear"])
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_cli_linear_models_run_at_zero_delta(tmp_path, model, experiment):
+    # delta = 0 passes the parser's [0,1) rule; the chain law is then the
+    # point mass at zero, and every experiment still certifies and passes
+    cfg = write_config(tmp_path, "run.cfg", f"model = {model}\n" + ZERO_DELTA_RUN)
+    out = str(tmp_path / "zero")
+    assert main([experiment, "--config", cfg, "--out", out]) == 0
+    assert "STATUS: PASS" in open(os.path.join(out, experiment, "report.txt")).read()
+    if experiment != "simulate":
+        assert float(read_ledger(out, experiment)["chain_logsob_c"]) == 0.0
+
+
 def test_cli_env_worker_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "run.cfg", SMALL_RUN)
     out = str(tmp_path / "env")

@@ -219,9 +219,9 @@ def test_rate_table_concurrent_extension_matches_serial():
 
 
 def test_rate_table_and_chart_values_never_depend_on_the_batch():
-    # the ensemble engine hands the table the live paths of one chunk, and
-    # the chart inverts through the same table class: a point must get the
-    # same value alone, in a slice or in the whole batch
+    # the ensemble engine hands the table and the chart the live paths of
+    # one chunk: a point must get the same value alone, in a slice or in the
+    # whole batch
     table = UnitFlowCumRate(lambda y: 1.0 + np.asarray(y, dtype=float))
     chart = psi_chart()
     y = np.random.default_rng(5).uniform(0.0, 20.0, 1001)
@@ -295,20 +295,53 @@ def test_chart_basics():
     assert np.max(np.abs(chart.psi_inv(vals) - xs)) <= 1e-9
 
 
-def test_chart_tail_offset_matches_quadrature():
-    # oracle: integral of weight^{-1/2} - 1 over the half-line
-    oracle, _ = integrate.quad(
-        lambda y: 1.0 / np.sqrt(-np.expm1(-y)) - 1.0, 0.0, np.inf)
+@pytest.mark.parametrize("x", np.concatenate([np.geomspace(1e-12, 1.0, 8),
+                                               np.linspace(2.0, 60.0, 12)]).tolist())
+def test_chart_matches_quadrature_oracle(x):
+    # oracle: integral of weight^{-1/2} from 0 to x
+    oracle, _ = integrate.quad(lambda y: 1.0 / math.sqrt(-math.expm1(-y)), 0.0, x,
+                               epsabs=0.0, epsrel=2e-14, limit=200)
+    assert psi_chart().psi(x) == pytest.approx(oracle, rel=1e-13, abs=0)
+
+
+def test_chart_minus_identity_rises_to_log_four():
+    # psi(x) - x = 2 log(1 + sqrt(1 - e^-x)) increases to the integral of
+    # weight^{-1/2} - 1 over the half-line, which is log 4
+    x = np.geomspace(1e-3, 1e3, 200)
+    gap = psi_chart().psi(x) - x
+    assert np.all(np.diff(gap) >= -4.0 * np.spacing(x[1:]))
+    assert np.all(gap <= math.log(4.0) + 2.0 * np.spacing(x))
+    assert abs(gap[-1] - math.log(4.0)) <= 2.0 * np.spacing(x[-1])
+
+
+def test_chart_slope_is_weight_to_the_minus_half():
     chart = psi_chart()
-    assert chart.psi(50.0) >= 50.0
-    assert chart.psi(50.0) <= 50.0 + oracle + 1e-9
-    assert abs(chart.offset - oracle) <= 1e-9
+    x = np.geomspace(1e-2, 40.0, 300)
+    h = 1e-5 * x
+    slope = (chart.psi(x + h) - chart.psi(x - h)) / (2.0 * h)
+    np.testing.assert_allclose(slope, 1.0 / np.sqrt(linear_weight(x)), rtol=1e-8, atol=0)
 
 
-def test_chart_fresh_instance_matches_cached():
-    fresh = PsiChart(n_panels=512)
-    xs = np.linspace(0.0, 40.0, 101)
-    assert np.allclose(fresh.psi(xs), psi_chart().psi(xs), atol=1e-11)
+def test_chart_monotone_and_continuous_across_the_inverse_switch():
+    # psi_inv changes formula at PsiChart._SWITCH; neither the inverse nor
+    # the chart near its image may step back or jump there
+    chart = psi_chart()
+    s = PsiChart._SWITCH
+    z = s + np.arange(-2000, 2000) * np.spacing(s)
+    x = chart.psi_inv(z)
+    assert np.all(np.diff(x) >= 0.0)
+    assert chart.psi_inv(s) - chart.psi_inv(np.nextafter(s, 0.0)) <= 2.0 * np.spacing(x[2000])
+    xs = x[2000] + np.arange(-2000, 2000) * np.spacing(x[2000])
+    assert np.all(np.diff(chart.psi(xs)) > 0.0)
+    assert np.all(np.abs(chart.psi(x) - z) <= 2.0 * np.spacing(z))
+
+
+def test_chart_rejects_negative_input():
+    chart = psi_chart()
+    with pytest.raises(ValueError, match="nonnegative"):
+        chart.psi(np.array([1.0, -1e-300]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        chart.psi_inv(-1.0)
 
 
 def test_twisted_jump_gradient_subcommutation():
@@ -331,28 +364,21 @@ def test_twisted_rate_and_flow():
 
 
 def test_chart_inverse_converges_on_dense_sweep():
-    # z near 0, at and next to the panel edges, and around psi(x_cut)
+    # z near 0, across the inverse's switch point and far out
     chart = psi_chart()
-    edges = chart.psi(np.linspace(0.0, np.sqrt(chart.x_cut), 2049) ** 2)
-    top = chart.psi(chart.x_cut)
-    z = np.concatenate([
-        np.geomspace(1e-300, 1e-2, 400),
-        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
-        np.linspace(0.0, 1.01 * top, 20001),
-        [top, np.nextafter(top, 0.0), np.nextafter(top, np.inf)],
-    ])
+    s = PsiChart._SWITCH
+    near_switch = s + np.arange(-200, 200) * np.spacing(s)
+    z = np.concatenate([np.geomspace(1e-300, 1e-2, 400), np.linspace(0.0, 80.0, 20001),
+                        near_switch, np.geomspace(80.0, 1e6, 200)])
     back = chart.psi(chart.psi_inv(z))
     assert np.all(np.abs(back - z) <= 1e-12 * np.maximum(1.0, z))
-    x = np.concatenate([np.geomspace(1e-300, 1e-2, 400),
-                        np.linspace(0.0, 1.01 * chart.x_cut, 20001)])
+    x = np.concatenate([np.geomspace(1e-300, 1e-2, 400), np.linspace(0.0, 80.0, 20001),
+                        chart.psi_inv(near_switch), np.geomspace(80.0, 1e6, 200)])
     assert np.all(np.abs(chart.psi_inv(chart.psi(x)) - x) <= 1e-12 * np.maximum(1.0, x))
 
 
 def test_iterative_inverses_raise_when_not_converged(monkeypatch):
-    # the chart inverts through the same table class, so one cap covers both
     monkeypatch.setattr(UnitFlowCumRate, "_MAX_NEWTON", 1)
-    with pytest.raises(ValueError, match="did not converge"):
-        psi_chart().psi_inv(np.linspace(0.1, 20.0, 101))
     table = UnitFlowCumRate(lambda y: 1.0 + np.asarray(y, dtype=float) ** 2)
     with pytest.raises(ValueError, match="did not converge"):
         table.inverse(np.linspace(0.1, 50.0, 101))
