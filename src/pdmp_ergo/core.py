@@ -85,9 +85,10 @@ class Model:
     quadrature fallbacks are used otherwise.
 
     A chart image carries its ``base`` model and the ``chart`` (``psi`` to
-    chart coordinates, ``psi_inv`` back); the ensemble engine and the
-    embedded-chain kernels map once at entry, run the base natively and
-    map once at exit.
+    chart coordinates, ``psi_inv`` back).  Library functions run the
+    callables of the model they are given, so an image runs in chart
+    coordinates; only the experiments run the base natively and map its
+    states through the chart.
     """
 
     name: str
@@ -208,14 +209,11 @@ def simulate_ensemble(
     if np.any(t < 0):
         raise ValueError("t_end must be nonnegative")
     model.require_in_domain(x, "start state")
-    chart = model.chart
-    if chart is not None:
-        model, x = model.base, chart.psi_inv(x)
     marks = EventMarks(stream)
     run_tasks([lambda lo=lo: _advance(model, x[lo:lo + _CHUNK], t[lo:lo + _CHUNK], lo,
                                       marks, max_events)
                for lo in range(0, x.size, _CHUNK)], workers)
-    return x if chart is None else chart.psi(x)
+    return x
 
 
 def _advance(model: Model, x, t, lo: int, marks: EventMarks, max_events: int):

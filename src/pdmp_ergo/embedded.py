@@ -259,8 +259,6 @@ def kernel_Ktilde_sample(model: Model, x, stream: RandomStream):
     """
     x = np.asarray(x, dtype=float)
     model.require_in_domain(x, "state")
-    if model.chart is not None:
-        return model.chart.psi(kernel_Ktilde_sample(model.base, model.chart.psi_inv(x), stream))
     if model.ktilde_sampler is not None:
         t = model.ktilde_sampler(x, stream)
     else:
@@ -323,9 +321,6 @@ def chain_sample_matrix(
     quota = -(-n // n_chains)
     states = np.full(n_chains, float(x0))
     model.require_in_domain(states, "chain start")
-    if model.chart is not None:
-        return model.chart.psi(chain_sample_matrix(
-            model.base, n, burn_in, thinning, stream, model.chart.psi_inv(float(x0)), n_chains))
     node = stream.spawn()
     step = 0
     for _ in range(burn_in):
@@ -350,13 +345,18 @@ def chain_invariant_sample(
     return EmpiricalMeasure.from_samples(samples.ravel()[:n], provenance="chain")
 
 
-def h_function(model: Model, x) -> float:
-    """Mean residual normaliser: integral of exp(-cum_rate(x, u)) over u > 0."""
+def h_function(model: Model, x):
+    """Mean residual normaliser at each point of ``x``: the integral of
+    exp(-cum_rate(x, u)) over u > 0, a float for a scalar ``x``."""
     if model.h_form is not None:
         out = np.asarray(model.h_form(x), dtype=float)
-        return float(out) if np.shape(x) == () else out
-    x = float(x)
+    else:
+        xs = np.asarray(x, dtype=float)
+        out = np.reshape([_mean_residual(model, xv) for xv in xs.ravel().tolist()], xs.shape)
+    return float(out) if np.shape(x) == () else out
 
+
+def _mean_residual(model: Model, x: float) -> float:
     def integrand(u):
         return np.exp(-np.asarray(model.cum_rate(x, u), dtype=float))
 
@@ -373,16 +373,10 @@ def h_function(model: Model, x) -> float:
     raise ValueError("mean residual integral does not converge (normaliser diverges)")
 
 
-def _h_values(model: Model, xs):
-    if model.h_form is not None:
-        return np.asarray(model.h_form(xs), dtype=float)
-    return np.array([h_function(model, float(x)) for x in np.asarray(xs, dtype=float)])
-
-
 def reweight_and_push(model: Model, xs, stream: RandomStream):
     """Mean residual normaliser of each chain atom, and the atom pushed
     through the length-biased kernel."""
-    hv = _h_values(model, xs)
+    hv = h_function(model, xs)
     if np.any(~np.isfinite(hv)) or np.any(hv <= 0):
         raise ValueError("mean residual normaliser must be positive and finite")
     return hv, kernel_Ktilde_sample(model, xs, stream.spawn())

@@ -175,32 +175,19 @@ def entropy_p_with_error(values, p: float, weights=None, inner_variances=None,
 # one-dimensional transport distance
 # ---------------------------------------------------------------------------
 
-def wasserstein_1d(
-    p: float, first: EmpiricalMeasure, second: EmpiricalMeasure,
-    chart: Optional[Callable] = None,
-) -> float:
+def wasserstein_1d(p: float, first: EmpiricalMeasure, second: EmpiricalMeasure) -> float:
     """Order-p transport distance between two weighted atom sets, exactly.
 
     Computed on the merged cumulative-weight partition (in one dimension
-    the sorted coupling is optimal).  ``chart`` maps atoms into another
-    metric before coupling, for distances measured after a change of
-    variable.
+    the sorted coupling is optimal).  The distance is taken in the atoms'
+    own coordinates; for another metric, map the atoms first.
     """
     if p < 1:
         raise ValueError("order must be at least one")
     if abs(first.weights.sum() - second.weights.sum()) > 1e-9:
         raise ValueError("total weights differ")
-
-    def prep(m: EmpiricalMeasure):
-        v = m.values
-        if chart is not None:
-            v = np.asarray(chart(v), dtype=float)
-            order = np.argsort(v, kind="stable")
-            return v[order], np.cumsum(m.weights[order])
-        return v, np.cumsum(m.weights)
-
-    va, ca = prep(first)
-    vb, cb = prep(second)
+    va, ca = first.values, np.cumsum(first.weights)
+    vb, cb = second.values, np.cumsum(second.weights)
     qs = np.sort(np.concatenate([ca, cb]))
     ia = np.clip(np.searchsorted(ca, qs, side="left"), 0, va.size - 1)
     ib = np.clip(np.searchsorted(cb, qs, side="left"), 0, vb.size - 1)

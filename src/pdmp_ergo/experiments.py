@@ -94,27 +94,40 @@ def certificate_ledger(config: RunConfig, model: Model):
 # experiment bodies
 # ---------------------------------------------------------------------------
 
+def _native(model: Model):
+    """The model a run simulates, the map from its states to ``model``'s
+    coordinates, and the chain and time-average start 1.0 of ``model``.
+    A chart image runs its base natively and maps the returned states once."""
+    if model.chart is None:
+        return model, lambda x: x, 1.0
+    return model.base, model.chart.psi, model.chart.psi_inv(1.0)
+
+
 def _reconstructed(config: RunConfig, model: Model, n: int, master: RandomStream):
     """Invariant law reconstructed from n embedded-chain states."""
-    chain_mu = chain_invariant_sample(model, n, config.burn_in, config.thinning,
-                                      master.substream(1))
-    return reconstruct_mu(model, chain_mu, master.substream(2))
+    run, to_model, x0 = _native(model)
+    chain_mu = chain_invariant_sample(run, n, config.burn_in, config.thinning,
+                                      master.substream(1), x0)
+    mu = reconstruct_mu(run, chain_mu, master.substream(2))
+    return EmpiricalMeasure(to_model(mu.values), mu.weights, mu.provenance)
 
 
 def simulate_experiment(config: RunConfig, model: Model, master: RandomStream,
                         out_dir: str, report: Report):
+    run, to_model, x0 = _native(model)
+
     def chain_task():
         matrix = chain_sample_matrix(
-            model, config.chain_length, config.burn_in, config.thinning,
-            master.substream(1))
-        hv, pushed = reweight_and_push(model, matrix.ravel(), master.substream(2))
-        return matrix, hv, pushed
+            run, config.chain_length, config.burn_in, config.thinning,
+            master.substream(1), x0)
+        hv, pushed = reweight_and_push(run, matrix.ravel(), master.substream(2))
+        return to_model(matrix), hv, to_model(pushed)
 
     def ta_task():
-        return time_average_states(
-            model, x0=1.0, t_burn=20.0, t_end=80.0,
+        return to_model(time_average_states(
+            run, x0=x0, t_burn=20.0, t_end=80.0,
             n_paths=max(2, min(512, config.n_outer)), n_times=64,
-            stream=master.substream(3))
+            stream=master.substream(3)))
 
     (matrix, hv, pushed), ta = run_tasks([chain_task, ta_task], config.workers)
 
@@ -139,9 +152,10 @@ def simulate_experiment(config: RunConfig, model: Model, master: RandomStream,
     report.check(
         "reconstructed_vs_time_average_second_moment", abs(rec_m2.value - ta_m2.value) <= tol2,
         f"reconstructed={rec_m2.value:.6g} time_average={ta_m2.value:.6g} tol={tol2:.3g}")
+    # 12 digits match the tolerance, so a one-ulp move of the sum is not printed
     report.check(
         "measure_weights_normalised", abs(mu.weights.sum() - 1.0) <= 1e-12,
-        f"sum={mu.weights.sum():.17g}")
+        f"sum={mu.weights.sum():.12g}")
 
     report.info("reconstruction_normaliser",
                 f"value={norm.value:.10g} se={norm.std_error:.3g}")
@@ -254,7 +268,7 @@ def _verify_energy(config, model, master, bounds, report):
 
 def _verify_entropy(config, model, master, bounds, report):
     """xlogx entropy decay on the tcp_linear process (the base of a chart image)."""
-    base = model if model.base is None else model.base
+    base = _native(model)[0]
     mu = _reconstructed(config, base, config.n_outer, master)
     lc = cert.certify_tcp_linear(config.delta)
     tfs = family_by_labels(["x", "sin(x)"])

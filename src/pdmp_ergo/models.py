@@ -627,8 +627,9 @@ def conjugate(base: Model, chart) -> Model:
     ``chart.psi`` maps native states to chart coordinates, ``chart.psi_inv``
     maps back, and the chart's slope is weight^{-1/2}: the image has unit
     weight and drift base.drift / sqrt(base.weight).  Its callables take
-    chart coordinates; the ensemble engine and the embedded-chain kernels
-    run ``base`` natively instead.  The image is ``<chart.name>_<base.name>``.
+    chart coordinates, and every library function runs them as they are;
+    the experiments run ``base`` natively and map its states through the
+    chart.  The image is ``<chart.name>_<base.name>``.
     """
     psi, psi_inv = chart.psi, chart.psi_inv
 

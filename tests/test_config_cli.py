@@ -204,6 +204,23 @@ def test_cli_nested_worker_invariance_inside_one_block(tmp_path, monkeypatch, mo
     assert len(whole[1].splitlines()) > 4
 
 
+@pytest.mark.parametrize("experiment", ["simulate", "inequality"])
+@pytest.mark.parametrize("model", ["tcp_linear", "twisted_tcp_linear"])
+def test_cli_chain_worker_invariance(tmp_path, experiment, model):
+    # simulate runs its chain and its time average as two thread tasks
+    body = (f"model = {model}\nseed = 5\nn_outer = 300\nchain_length = 3000\n"
+            "burn_in = 200\n")
+    cfg = write_config(tmp_path, "run.cfg", body)
+    runs = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"w{workers}")
+        code = main([experiment, "--config", cfg, "--out", out, "--workers", workers])
+        files = run_files(out, experiment)[:-1]
+        runs.append((code, [(os.path.basename(f), open(f, "rb").read()) for f in files]))
+    assert runs[0] == runs[1]
+    assert [name for name, _ in runs[0][1]] == ["ledger.csv", "measure.csv"]
+
+
 def test_cli_seed_override_changes_outputs(tmp_path):
     cfg = write_config(tmp_path, "run.cfg", SMALL_RUN)
     out_a, out_b = str(tmp_path / "s1"), str(tmp_path / "s2")

@@ -141,13 +141,6 @@ def test_wasserstein_weighted_partition():
     assert wasserstein_1d(1.0, a, b) == pytest.approx(0.5, rel=1e-14)
 
 
-def test_wasserstein_chart():
-    a = uniform_measure([1.0, 4.0])
-    b = uniform_measure([0.0, 9.0])
-    got = wasserstein_1d(1.0, a, b, chart=np.sqrt)
-    assert got == pytest.approx(1.0, rel=1e-14)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_wasserstein_triangle_and_scaling(seed):

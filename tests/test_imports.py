@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -42,3 +43,18 @@ def test_runs_load_no_integrate_optimize_or_linalg(tmp_path):
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_only_experiments_reads_chart_or_base():
+    # library functions run the callables of the model they are given; only
+    # the experiments pick a chart image's base and map through its chart
+    paths = sorted((SRC / "pdmp_ergo").glob("*.py"))
+    assert len(paths) > 5
+    reads = []
+    for path in paths:
+        if path.name == "experiments.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("chart", "base"):
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert reads == []

@@ -9,7 +9,8 @@ from scipy import integrate, special
 
 from pdmp_ergo import models
 from pdmp_ergo.core import ensemble_states_at, simulate_ensemble
-from pdmp_ergo.embedded import chain_sample_matrix, kernel_Ktilde_sample
+from pdmp_ergo.embedded import chain_sample_matrix, reweight_and_push
+from pdmp_ergo.experiments import _native
 from pdmp_ergo.models import (PsiChart, StorageParams, TcpConstantParams,
                               TcpIncreasingParams, TcpLinearParams,
                               UnitFlowCumRate, exponential_increment,
@@ -385,20 +386,25 @@ def test_iterative_inverses_raise_when_not_converged(monkeypatch):
 
 
 def test_twisted_native_route_matches_chart_coordinates():
-    # the stripped model has the same chart-coordinate callables but no
-    # base, so the engine and the kernels take the event-by-event route
+    # the experiments run the base natively and map its states through the
+    # chart; the image's own callables take chart coordinates throughout
     model = make_twisted_tcp_linear(0.5)
-    ref = dataclasses.replace(model, base=None, chart=None)
-    renamed = dataclasses.replace(model, name="copy")
-    assert renamed.base is model.base and renamed.chart is model.chart
-    assert model.base.name == "tcp_linear" and model.chart is psi_chart()
-    z0 = psi_chart().psi(np.linspace(0.0, 8.0, 500))
+    run, to_model, start = _native(model)
+    assert run.name == "tcp_linear" and _native(dataclasses.replace(model, name="copy"))[0] is run
+    x0 = np.linspace(0.0, 8.0, 500)
+    z0 = to_model(x0)
 
-    def same(run):
-        np.testing.assert_allclose(run(model), run(ref), rtol=1e-12, atol=0)
+    def same(native, image):
+        np.testing.assert_allclose(native, image, rtol=1e-12, atol=0)
 
-    same(lambda m: simulate_ensemble(m, z0, 2.5, RandomStream(5)))
-    same(lambda m: ensemble_states_at(m, z0, [0.5, 1.0, 3.0], RandomStream(6)))
-    same(lambda m: chain_sample_matrix(m, 3000, burn_in=50, stream=RandomStream(7),
-                                       n_chains=300))
-    same(lambda m: kernel_Ktilde_sample(m, z0, RandomStream(8)))
+    same(to_model(simulate_ensemble(run, x0, 2.5, RandomStream(5))),
+         simulate_ensemble(model, z0, 2.5, RandomStream(5)))
+    same(to_model(ensemble_states_at(run, x0, [0.5, 1.0, 3.0], RandomStream(6))),
+         ensemble_states_at(model, z0, [0.5, 1.0, 3.0], RandomStream(6)))
+    same(to_model(chain_sample_matrix(run, 3000, burn_in=0, stream=RandomStream(7),
+                                      x0=start, n_chains=300)),
+         chain_sample_matrix(model, 3000, burn_in=0, stream=RandomStream(7), n_chains=300))
+    hv, pushed = reweight_and_push(run, x0, RandomStream(8))
+    hz, pushed_z = reweight_and_push(model, z0, RandomStream(8))
+    same(hv, hz)
+    same(to_model(pushed), pushed_z)
