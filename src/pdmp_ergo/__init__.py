@@ -1,14 +1,12 @@
 """Exact simulation and rate certification for piecewise deterministic
 Markov processes on the half-line."""
 
-from .certificates import (BalanceSpec, ConfiningProfile, RateCertificate,
-                           TcpConstantCertificate, TcpLinearCertificate,
-                           balance_eta, certify_tcp_constant,
-                           certify_tcp_increasing, certify_tcp_linear,
-                           confining_compose, confining_fixed_point,
-                           generalized_poincare_alpha, muckenhoupt_bound,
-                           perturb_logsob, perturb_poincare, push_through,
-                           theta_constant)
+from .certificates import (BalanceSpec, ConfiningProfile, Ledger, balance_eta,
+                           certify_tcp_constant, certify_tcp_increasing,
+                           certify_tcp_linear, confining_compose,
+                           confining_fixed_point, generalized_poincare_alpha,
+                           muckenhoupt_bound, perturb_logsob, perturb_poincare,
+                           push_through, theta_constant)
 from .config import RunConfig, parse_config, serialize
 from .core import (Estimate, Model, Trajectory, gradient_semigroup_estimate,
                    sample_jump_time, semigroup_estimate, simulate_ensemble,

@@ -4,14 +4,16 @@ Mechanises the full constant calculus: drift/jump balance infima, the
 confining-kernel composition algebra for spectral-gap style constants of
 invariant laws, the half-line integral criterion bracketing an optimal
 constant, perturbation formulas for reweighted measures, and the
-end-to-end pipelines for the shipped models.  Every pipeline records an
-auditable ledger of (quantity, value, derivation) lines.
+end-to-end pipelines for the shipped models.  A certificate is its
+ledger: every ``certify_*`` pipeline returns a ``Ledger`` of ordered
+(quantity, value, derivation) rows, and ``ledger.name`` reads the value
+of the row of that quantity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,9 +23,7 @@ from .models import quad
 __all__ = [
     "BalanceSpec",
     "ConfiningProfile",
-    "RateCertificate",
-    "TcpConstantCertificate",
-    "TcpLinearCertificate",
+    "Ledger",
     "balance_eta",
     "balance_spec_tcp_constant",
     "balance_spec_storage",
@@ -40,6 +40,7 @@ __all__ = [
     "certify_tcp_constant",
     "certify_tcp_increasing",
     "certify_tcp_linear",
+    "certify_storage",
     "generalized_poincare_alpha",
 ]
 
@@ -390,49 +391,26 @@ def perturb_logsob_grid(c1: float, kappa: float, g_ratio: float,
 
 
 # ---------------------------------------------------------------------------
-# rate certificates
+# certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateCertificate:
-    """Exponential decay certificate for the weighted energy + variance mix."""
+class Ledger(tuple):
+    """Ordered (quantity, value, derivation) rows of one certificate.
 
-    eta: float
-    beta: float
-    poincare_c: float
-    entropy_c: Optional[float] = None
-    entropy_prefactor: Optional[float] = None
-    details: dict = field(default_factory=dict)
+    ``ledger.name`` is the value of the row of that quantity; a name with
+    no row raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if self.eta <= 0 or self.beta <= 0 or self.poincare_c <= 0:
-            raise ValueError("eta, beta and the inequality constant must be positive")
+    __slots__ = ()
 
-    @property
-    def prefactor(self) -> float:
-        return 1.0 + self.beta * self.poincare_c
-
-    @property
-    def decay_rate(self) -> float:
-        return self.eta / self.prefactor
+    def __getattr__(self, name):
+        for quantity, value, _ in self:
+            if quantity == name:
+                return value
+        raise AttributeError(f"ledger has no quantity {name!r}")
 
 
-@dataclass(frozen=True)
-class TcpConstantCertificate:
-    rate: float
-    delta: float
-    pre_jump_profile: ConfiningProfile
-    jump_profile: ConfiningProfile
-    chain_profile: ConfiningProfile
-    chain_poincare_c: float
-    poincare_c: float
-    gradient_rate: float
-    l2_rate: float
-    l2_prefactor: float
-    ledger: list
-
-
-def certify_tcp_constant(rate: float, delta: float) -> TcpConstantCertificate:
+def certify_tcp_constant(rate: float, delta: float) -> Ledger:
     """Spectral-gap style certificate for the constant-rate model.
 
     Composes the pre-jump profile (4/rate^2, 1, 2) with the deterministic
@@ -449,7 +427,7 @@ def certify_tcp_constant(rate: float, delta: float) -> TcpConstantCertificate:
     chain_c = confining_fixed_point(chain)
     mu_c = push_through(prof_k, chain_c)
     grad_rate = rate * (1.0 - delta ** 2)
-    ledger = [
+    return Ledger([
         ("pre_jump_profile_c", prof_k.c, "1/rate-Lipschitz image of a unit exponential: 4/rate^2"),
         ("jump_profile_gamma", prof_q.gamma, "deterministic contraction by delta: gamma = delta^2"),
         ("chain_profile_c", chain.c, "composition: c_Q + gamma_Q * c_K"),
@@ -459,17 +437,15 @@ def certify_tcp_constant(rate: float, delta: float) -> TcpConstantCertificate:
         ("gradient_rate", grad_rate, "balance exponent rate*(1-delta^2)"),
         ("l2_rate", grad_rate, "variance decays at the gradient exponent via the inequality"),
         ("l2_prefactor", mu_c, "inequality constant in front of the decaying energy"),
-    ]
-    return TcpConstantCertificate(
-        rate=rate, delta=delta, pre_jump_profile=prof_k, jump_profile=prof_q,
-        chain_profile=chain, chain_poincare_c=chain_c, poincare_c=mu_c,
-        gradient_rate=grad_rate, l2_rate=grad_rate, l2_prefactor=mu_c,
-        ledger=ledger,
-    )
+        ("wasserstein_rate", 0.5 * grad_rate,
+         "half the gradient exponent bounds the transport decay"),
+        ("optimal_w1_rate", rate * (1.0 - delta),
+         "synchronous coupling: rate*(1-delta) for first moments"),
+    ])
 
 
 def certify_tcp_increasing(lambda_star: float, delta: float, kappa: float,
-                           h_at: Callable) -> RateCertificate:
+                           h_at: Callable) -> Ledger:
     """Decay certificate for a nondecreasing rate with log-Lipschitz constant.
 
     ``h_at`` evaluates the model's mean residual normaliser (used at the
@@ -494,7 +470,8 @@ def certify_tcp_increasing(lambda_star: float, delta: float, kappa: float,
     c_prime = perturb_poincare(chain_c, ratio_bound)
     ktilde_c = 4.0 / lambda_star ** 2
     poincare_c = ktilde_c + c_prime
-    ledger = [
+    prefactor = 1.0 + beta * poincare_c
+    return Ledger([
         ("beta", beta, "2 kappa^2/(1-delta^2)"),
         ("eta", eta, "lambda_*(1-delta^2)/2 from the log-slope balance"),
         ("chain_poincare_c", chain_c, "4 delta^2/(lambda_*^2 (1-delta^2)) chain fixed point"),
@@ -503,31 +480,12 @@ def certify_tcp_increasing(lambda_star: float, delta: float, kappa: float,
         ("reweighted_poincare_c", c_prime, "8 * ratio * chain constant perturbation"),
         ("ktilde_c", ktilde_c, "length-biased kernel local constant 4/lambda_*^2"),
         ("poincare_c", poincare_c, "push reweighted constant through the length-biased kernel"),
-    ]
-    return RateCertificate(
-        eta=eta, beta=beta, poincare_c=poincare_c,
-        details={k: v for k, v, _ in ledger} | {"ledger": ledger},
-    )
+        ("decay_rate", eta / prefactor, "eta over one plus beta times the constant"),
+        ("prefactor", prefactor, "one plus beta times the constant"),
+    ])
 
 
-@dataclass(frozen=True)
-class TcpLinearCertificate:
-    delta: float
-    theta: float
-    chain_logsob_c: float
-    kappa_g: float
-    g_ratio_bound: float
-    nu_power_mean_bound: float
-    perturbed_logsob_c: float
-    weighted_logsob_c: float
-    weighted_poincare_c: float
-    beta_opt: float
-    rate_r: float
-    entropy_c: float
-    ledger: list
-
-
-def certify_tcp_linear(delta: float) -> TcpLinearCertificate:
+def certify_tcp_linear(delta: float) -> Ledger:
     """End-to-end entropy-decay certificate for the linear-rate model.
 
     Pipeline: xlogx constant of the twisted chain's invariant law, the
@@ -558,8 +516,9 @@ def certify_tcp_linear(delta: float) -> TcpLinearCertificate:
     u = a_rate * c1w / (c1w + math.sqrt(c1w * (c1w + a_rate)))
     beta_opt = 1.0 / u
     rate_r = (a_rate - u) / (1.0 + beta_opt * c1w)
-    entropy_c = wls_c * (1.0 + beta_opt * c1w)
-    ledger = [
+    if not (0.0 < rate_r < a_rate):
+        raise RuntimeError("optimised rate left its certified interval")
+    return Ledger([
         ("theta", theta, "minimum of x + 1/(e^x - 1) on the half-line"),
         ("chain_logsob_c", c_nu, "twisted chain invariant law: 4 sqrt(delta)/(1-sqrt(delta))"),
         ("kappa_g", kappa_g, "log-Lipschitz constant of the mean residual density"),
@@ -573,16 +532,19 @@ def certify_tcp_linear(delta: float) -> TcpLinearCertificate:
         ("beta_opt", beta_opt,
          "closed-form maximiser 1/u: u = a c1/(c1 + sqrt(c1^2 + a c1)) with a = (1-delta) theta"),
         ("rate_r", rate_r, "((1-delta) theta - 1/beta)/(1 + beta c1)"),
-        ("entropy_c", entropy_c, "weighted xlogx constant times the mixing prefactor"),
-    ]
-    if not (0.0 < rate_r < a_rate):
-        raise RuntimeError("optimised rate left its certified interval")
-    return TcpLinearCertificate(
-        delta=delta, theta=theta, chain_logsob_c=c_nu, kappa_g=kappa_g,
-        g_ratio_bound=ratio_bound, nu_power_mean_bound=nu_term,
-        perturbed_logsob_c=c2, weighted_logsob_c=wls_c, weighted_poincare_c=c1w,
-        beta_opt=beta_opt, rate_r=rate_r, entropy_c=entropy_c, ledger=ledger,
-    )
+        ("entropy_c", wls_c * (1.0 + beta_opt * c1w),
+         "weighted xlogx constant times the mixing prefactor"),
+    ])
+
+
+def certify_storage(rate: float) -> Ledger:
+    """Gradient and transport exponents of the storage model from its
+    balance infimum."""
+    eta = balance_eta(balance_spec_storage(rate))
+    return Ledger([
+        ("gradient_rate", eta, "balance infimum: flow contraction 2, neutral jumps"),
+        ("wasserstein_rate", 0.5 * eta, "half the gradient exponent"),
+    ])
 
 
 def generalized_poincare_alpha(q: float) -> float:

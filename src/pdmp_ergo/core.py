@@ -94,7 +94,6 @@ class Model:
     name: str
     domain_low: float
     domain_high: float
-    drift: Callable
     flow: Callable
     rate: Callable
     cum_rate: Callable

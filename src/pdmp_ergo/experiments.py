@@ -15,7 +15,6 @@ import traceback
 
 import numpy as np
 
-from . import certificates as cert
 from .config import RunConfig
 from .core import Estimate, Model, nested_grid_statistics, run_tasks, simulate_ensemble
 from .embedded import (EmpiricalMeasure, chain_invariant_sample, chain_sample_matrix,
@@ -86,7 +85,7 @@ def build_model(config: RunConfig) -> Model:
 
 
 def certificate_ledger(config: RunConfig, model: Model):
-    """Certificate ledger rows and named bounds for the configured model."""
+    """Certificate ledger of the configured model."""
     return REGISTRY[config.model].certificate(config, model)
 
 
@@ -173,15 +172,16 @@ def simulate_experiment(config: RunConfig, model: Model, master: RandomStream,
 
 def certify_experiment(config: RunConfig, model: Model, master: RandomStream,
                        out_dir: str, report: Report):
-    rows, bounds = certificate_ledger(config, model)
-    write_ledger_csv(os.path.join(out_dir, "ledger.csv"), rows)
-    finite = all(np.isfinite(v) for _, v, _ in rows)
-    report.check("ledger_values_finite", finite, f"{len(rows)} quantities")
-    for name, value in bounds.items():
+    ledger = certificate_ledger(config, model)
+    write_ledger_csv(os.path.join(out_dir, "ledger.csv"), ledger)
+    finite = all(np.isfinite(v) for _, v, _ in ledger)
+    report.check("ledger_values_finite", finite, f"{len(ledger)} quantities")
+    record = REGISTRY[config.model]
+    for name in record.bounds:
+        value = getattr(ledger, name)
         report.check(f"bound_{name}_positive", value > 0, f"{name}={value:.6g}")
-    check = REGISTRY[config.model].check
-    if check is not None:
-        report.check(*check(config, bounds))
+    if record.check is not None:
+        report.check(*record.check(config, ledger))
 
 
 def _time_series(config: RunConfig, estimate):
@@ -221,7 +221,7 @@ def entropy_decay_series(model: Model, tfs: list[TestFunction], mu_hat: Empirica
     return series
 
 
-def _verify_w1(config, model, master, bounds, report):
+def _verify_w1(config, model, master, ledger, report):
     """Transport distance between coupled ensembles from two point starts."""
     n, n_blocks = config.n_outer, 20
 
@@ -242,8 +242,8 @@ def _verify_w1(config, model, master, bounds, report):
 
     series = _time_series(config, w1)
     fit = _decay_fit(series, report)
-    target = bounds["optimal_w1_rate"]
-    certified = bounds["wasserstein_rate"]
+    target = ledger.optimal_w1_rate
+    certified = ledger.wasserstein_rate
     report.check(
         "w1_rate_near_optimal", abs(fit.fitted_rate - target) <= 0.1 * target,
         f"fitted={fit.fitted_rate:.6g} optimal={target:.6g}")
@@ -254,7 +254,7 @@ def _verify_w1(config, model, master, bounds, report):
     return series
 
 
-def _verify_energy(config, model, master, bounds, report):
+def _verify_energy(config, model, master, ledger, report):
     atoms = EmpiricalMeasure.from_samples([0.5, 1.0, 2.0], provenance="atoms")
     tf = family_by_labels(["x"])[0]
     series = _time_series(config, lambda j, t: energy_W(
@@ -266,11 +266,10 @@ def _verify_energy(config, model, master, bounds, report):
     return series
 
 
-def _verify_entropy(config, model, master, bounds, report):
+def _verify_entropy(config, model, master, ledger, report):
     """xlogx entropy decay on the tcp_linear process (the base of a chart image)."""
     base = _native(model)[0]
     mu = _reconstructed(config, base, config.n_outer, master)
-    lc = cert.certify_tcp_linear(config.delta)
     tfs = family_by_labels(["x", "sin(x)"])
     all_rows = entropy_decay_series(base, tfs, mu, config.time_grid, config.n_inner,
                                     master.substream(30), config.workers)
@@ -280,17 +279,17 @@ def _verify_entropy(config, model, master, bounds, report):
         ok = True
         worst = ""
         for t, value, se in rows:
-            bound = lc.entropy_c * np.exp(-lc.rate_r * t) * energy0 + 3.0 * se
+            bound = ledger.entropy_c * np.exp(-ledger.rate_r * t) * energy0 + 3.0 * se
             if not (np.isfinite(se) and value <= bound):
                 ok = False
                 worst = f" violated at t={t}: {value:.6g} > {bound:.6g}"
         report.check(f"entropy_decay_certified_{tf.label}", ok,
-                     f"constant={lc.entropy_c:.6g} rate={lc.rate_r:.6g}{worst}")
+                     f"constant={ledger.entropy_c:.6g} rate={ledger.rate_r:.6g}{worst}")
         series += rows
     return series
 
 
-def _verify_variance(config, model, master, bounds, report):
+def _verify_variance(config, model, master, ledger, report):
     mu = _reconstructed(config, model, config.n_outer, master)
     tf = family_by_labels(["x"])[0]
     estimates = variance_of_semigroup(model, tf, mu, config.time_grid, config.n_inner,
@@ -299,8 +298,8 @@ def _verify_variance(config, model, master, bounds, report):
     fit = _decay_fit(series, report)
     report.check(
         "variance_rate_above_certified",
-        fit.fitted_rate >= bounds["decay_rate"] - 3.0 * fit.rate_std_error,
-        f"fitted={fit.fitted_rate:.6g} certified={bounds['decay_rate']:.6g}")
+        fit.fitted_rate >= ledger.decay_rate - 3.0 * fit.rate_std_error,
+        f"fitted={fit.fitted_rate:.6g} certified={ledger.decay_rate:.6g}")
     return series
 
 
@@ -314,24 +313,24 @@ _VERIFY_ROUTES = {
 
 def verify_experiment(config: RunConfig, model: Model, master: RandomStream,
                       out_dir: str, report: Report):
-    rows, bounds = certificate_ledger(config, model)
-    write_ledger_csv(os.path.join(out_dir, "ledger.csv"), rows)
+    ledger = certificate_ledger(config, model)
+    write_ledger_csv(os.path.join(out_dir, "ledger.csv"), ledger)
     route = _VERIFY_ROUTES[REGISTRY[config.model].verify]
-    series = route(config, model, master, bounds, report)
+    series = route(config, model, master, ledger, report)
     write_series_csv(os.path.join(out_dir, "series.csv"), series)
 
 
 def inequality_experiment(config: RunConfig, model: Model, master: RandomStream,
                           out_dir: str, report: Report):
     spec = REGISTRY[config.model].inequality
-    rows, bounds = certificate_ledger(config, model)
+    ledger = certificate_ledger(config, model)
     mu = _reconstructed(config, model, config.chain_length, master)
     mu.to_csv(os.path.join(out_dir, "measure.csv"))
 
     weight = model.weight if spec.weighted else None
-    bound = bounds[spec.bound]
+    bound = getattr(ledger, spec.bound)
     details = inequality_details(mu, family_by_labels(config.functions), weight, spec.p)
-    ledger_rows = list(rows)
+    ledger_rows = list(ledger)
     worst = max(details, key=lambda d: d["ratio"])
     for d in details:
         ledger_rows.append((f"ratio_{d['label']}", d["ratio"],

@@ -214,7 +214,6 @@ def make_tcp_constant(params: TcpConstantParams) -> Model:
         name="tcp_constant",
         domain_low=0.0,
         domain_high=np.inf,
-        drift=_const(1.0),
         flow=lambda x, t: np.asarray(x, dtype=float) + t,
         jump=jump,
         jump_gradient_bound=_const(m2),
@@ -332,7 +331,6 @@ def make_tcp_linear(params: TcpLinearParams) -> Model:
         name="tcp_linear",
         domain_low=0.0,
         domain_high=np.inf,
-        drift=_const(1.0),
         flow=lambda x, t: np.asarray(x, dtype=float) + t,
         jump=lambda x, rng: delta * np.asarray(x, dtype=float),
         jump_gradient_bound=_const(delta),
@@ -357,7 +355,6 @@ def make_storage(params: StorageParams) -> Model:
         name="storage",
         domain_low=0.0,
         domain_high=np.inf,
-        drift=lambda x: -np.asarray(x, dtype=float),
         flow=lambda x, t: np.asarray(x, dtype=float) * np.exp(-np.asarray(t, dtype=float)),
         jump=jump,
         jump_gradient_bound=_const(1.0),
@@ -552,7 +549,6 @@ def make_tcp_increasing(params: TcpIncreasingParams) -> Model:
         name="tcp_increasing",
         domain_low=0.0,
         domain_high=np.inf,
-        drift=_const(1.0),
         flow=lambda x, t: np.asarray(x, dtype=float) + t,
         rate=lambda x: np.asarray(rate_fn(np.asarray(x, dtype=float)), dtype=float),
         cum_rate=cum_rate,
@@ -626,26 +622,20 @@ def conjugate(base: Model, chart) -> Model:
 
     ``chart.psi`` maps native states to chart coordinates, ``chart.psi_inv``
     maps back, and the chart's slope is weight^{-1/2}: the image has unit
-    weight and drift base.drift / sqrt(base.weight).  Its callables take
-    chart coordinates, and every library function runs them as they are;
-    the experiments run ``base`` natively and map its states through the
-    chart.  The image is ``<chart.name>_<base.name>``.
+    weight.  Its callables take chart coordinates, and every library
+    function runs them as they are; the experiments run ``base`` natively
+    and map its states through the chart.  The image is
+    ``<chart.name>_<base.name>``.
     """
     psi, psi_inv = chart.psi, chart.psi_inv
 
     def on_base(fn):
         return None if fn is None else (lambda z, *rest: fn(psi_inv(z), *rest))
 
-    def drift(z):
-        x = psi_inv(z)
-        with np.errstate(divide="ignore"):
-            return base.drift(x) / np.sqrt(base.weight(x))
-
     return Model(
         name=f"{chart.name}_{base.name}",
         domain_low=base.domain_low,
         domain_high=base.domain_high,
-        drift=drift,
         flow=lambda z, t: psi(base.flow(psi_inv(z), t)),
         rate=on_base(base.rate),
         cum_rate=on_base(base.cum_rate),

@@ -32,74 +32,26 @@ class InequalitySpec:
 
 @dataclass(frozen=True)
 class ModelRecord:
-    """``verify`` names the decay measurement of the verify experiment (w1,
-    energy, entropy or variance); ``check`` returns one more (name, ok,
-    detail) certify assertion; ``params`` holds (field, rule) pairs the config
-    parser enforces for this model on top of the field's own rule;
-    ``relation`` says what is wrong with a combination of fields, or None."""
+    """``certificate`` returns the model's certificate ledger, and ``bounds``
+    names the ledger quantities ``certify`` reports as positive; ``verify``
+    names the decay measurement of the verify experiment (w1, energy,
+    entropy or variance); ``check`` returns one more (name, ok, detail)
+    certify assertion from the ledger; ``params`` holds (field, rule) pairs
+    the config parser enforces for this model on top of the field's own
+    rule; ``relation`` says what is wrong with a combination of fields, or
+    None."""
 
     build: Callable[[RunConfig], Model]
-    certificate: Callable[[RunConfig, Model], tuple]
+    certificate: Callable[[RunConfig, Model], cert.Ledger]
+    bounds: tuple
     verify: str
     inequality: Optional[InequalitySpec] = None
-    check: Optional[Callable[[RunConfig, dict], tuple]] = None
+    check: Optional[Callable[[RunConfig, cert.Ledger], tuple]] = None
     params: tuple = ()
     relation: Optional[Callable[[RunConfig], Optional[str]]] = None
 
     def supports(self, experiment: str) -> bool:
         return experiment != "inequality" or self.inequality is not None
-
-
-def _tcp_constant_certificate(config, model):
-    c = cert.certify_tcp_constant(config.rate, config.delta)
-    bounds = {
-        "poincare_c": c.poincare_c,
-        "gradient_rate": c.gradient_rate,
-        "wasserstein_rate": 0.5 * c.gradient_rate,
-        "optimal_w1_rate": config.rate * (1.0 - config.delta),
-    }
-    rows = list(c.ledger) + [
-        ("wasserstein_rate", bounds["wasserstein_rate"],
-         "half the gradient exponent bounds the transport decay"),
-        ("optimal_w1_rate", bounds["optimal_w1_rate"],
-         "synchronous coupling: rate*(1-delta) for first moments"),
-    ]
-    return rows, bounds
-
-
-def _tcp_linear_certificate(config, model):
-    c = cert.certify_tcp_linear(config.delta)
-    bounds = {"entropy_c": c.entropy_c, "rate_r": c.rate_r,
-              "weighted_logsob_c": c.weighted_logsob_c}
-    return list(c.ledger), bounds
-
-
-def _tcp_increasing_certificate(config, model):
-    rc = cert.certify_tcp_increasing(
-        config.lambda_star, config.delta, config.kappa_value(),
-        h_at=lambda x: embedded.h_function(model, x))
-    bounds = {"poincare_c": rc.poincare_c, "decay_rate": rc.decay_rate,
-              "eta": rc.eta, "beta": rc.beta}
-    rows = list(rc.details["ledger"]) + [
-        ("decay_rate", rc.decay_rate, "eta over one plus beta times the constant"),
-        ("prefactor", rc.prefactor, "one plus beta times the constant"),
-    ]
-    return rows, bounds
-
-
-def _storage_certificate(config, model):
-    eta = cert.balance_eta(cert.balance_spec_storage(config.rate))
-    bounds = {"gradient_rate": eta, "wasserstein_rate": 0.5 * eta}
-    rows = [
-        ("gradient_rate", eta, "balance infimum: flow contraction 2, neutral jumps"),
-        ("wasserstein_rate", 0.5 * eta, "half the gradient exponent"),
-    ]
-    return rows, bounds
-
-
-def _twisted_certificate(config, model):
-    c = cert.certify_tcp_linear(config.delta)
-    return list(c.ledger), {"logsob_c": c.weighted_logsob_c, "rate_r": c.rate_r}
 
 
 def _kappa_floor(c):
@@ -108,31 +60,33 @@ def _kappa_floor(c):
         return f"kappa must be at least rate_slope/lambda_star = {c.rate_slope / c.lambda_star:.6g}"
 
 
-def _closed_form_check(config, bounds):
+def _closed_form_check(config, ledger):
     closed = 4.0 / (config.rate ** 2 * (1.0 - config.delta ** 2))
-    got = bounds["poincare_c"]
+    got = ledger.poincare_c
     return ("profile_route_matches_closed_form", abs(got - closed) <= 1e-12 * closed,
             f"algebra={got:.17g} closed={closed:.17g}")
 
 
-def _rate_interval_check(config, bounds):
+def _rate_interval_check(config, ledger):
     a_rate = (1.0 - config.delta) * cert.theta_constant()
-    return ("rate_inside_certified_interval", 0.0 < bounds["rate_r"] < a_rate,
-            f"rate={bounds['rate_r']:.6g} upper={a_rate:.6g}")
+    return ("rate_inside_certified_interval", 0.0 < ledger.rate_r < a_rate,
+            f"rate={ledger.rate_r:.6g} upper={a_rate:.6g}")
 
 
 REGISTRY = {
     "tcp_constant": ModelRecord(
         build=lambda c: models.make_tcp_constant(
             models.TcpConstantParams(rate=c.rate, delta=c.delta)),
-        certificate=_tcp_constant_certificate,
+        certificate=lambda c, m: cert.certify_tcp_constant(c.rate, c.delta),
+        bounds=("poincare_c", "gradient_rate", "wasserstein_rate", "optimal_w1_rate"),
         verify="w1",
         inequality=InequalitySpec(2.0, "poincare_c"),
         check=_closed_form_check,
     ),
     "tcp_linear": ModelRecord(
         build=lambda c: models.make_tcp_linear(models.TcpLinearParams(c.delta)),
-        certificate=_tcp_linear_certificate,
+        certificate=lambda c, m: cert.certify_tcp_linear(c.delta),
+        bounds=("entropy_c", "rate_r", "weighted_logsob_c"),
         verify="entropy",
         inequality=InequalitySpec(1.0, "weighted_logsob_c", weighted=True),
         check=_rate_interval_check,
@@ -140,7 +94,9 @@ REGISTRY = {
     "tcp_increasing": ModelRecord(
         build=lambda c: models.make_affine_rate_tcp(
             c.lambda_star, c.rate_slope, c.delta, c.kappa),
-        certificate=_tcp_increasing_certificate,
+        certificate=lambda c, m: cert.certify_tcp_increasing(
+            c.lambda_star, c.delta, c.kappa_value(), h_at=lambda x: embedded.h_function(m, x)),
+        bounds=("poincare_c", "decay_rate", "eta", "beta"),
         verify="variance",
         inequality=InequalitySpec(2.0, "poincare_c"),
         # the certificate needs a contracting jump and a rising rate
@@ -151,14 +107,16 @@ REGISTRY = {
     "storage": ModelRecord(
         build=lambda c: models.make_storage(
             models.StorageParams(c.rate, models.exponential_increment(c.u_scale))),
-        certificate=_storage_certificate,
+        certificate=lambda c, m: cert.certify_storage(c.rate),
+        bounds=("gradient_rate", "wasserstein_rate"),
         verify="energy",
     ),
     "twisted_tcp_linear": ModelRecord(
         build=lambda c: models.make_twisted_tcp_linear(c.delta),
-        certificate=_twisted_certificate,
+        certificate=lambda c, m: cert.certify_tcp_linear(c.delta),
+        bounds=("weighted_logsob_c", "rate_r"),
         verify="entropy",
-        inequality=InequalitySpec(1.0, "logsob_c"),
+        inequality=InequalitySpec(1.0, "weighted_logsob_c"),
         check=_rate_interval_check,
     ),
 }

@@ -6,9 +6,9 @@ integer index through the spawn-key mechanism, so any (seed, index path)
 names the same stream on every run, machine and worker layout.
 
 ``EventMarks`` serves the vectorised path engine: it hashes
-(replication index, event number, draw slot) counters into uniform,
-exponential and normal marks.  A mark depends only on the stream key and
-its counters, never on which other replications happen to be active, so
+(replication index, event number, draw slot) counters into uniform and
+exponential marks.  A mark depends only on the stream key and its
+counters, never on which other replications happen to be active, so
 coupled ensembles that reuse one key see identical per-replication draw
 sequences.
 """
@@ -16,7 +16,6 @@ sequences.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = ["RandomStream", "EventMarks", "MarkView"]
 
@@ -116,9 +115,6 @@ class EventMarks:
         np.log1p(np.negative(u, out=u), out=u)
         return np.negative(u, out=u)
 
-    def normal(self, reps, event: int, slot: int = 0):
-        return ndtri(self.uniform(reps, event, slot))
-
 
 class MarkView:
     """Draw server handed to jump kernels inside the vectorised engine.
@@ -154,7 +150,3 @@ class MarkView:
     def exponential(self, size=None):
         self._check(size)
         return self._marks.exponential(self._reps, self._event, self._next_slot())
-
-    def normal(self, size=None):
-        self._check(size)
-        return self._marks.normal(self._reps, self._event, self._next_slot())

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
-from pdmp_ergo.certificates import (BalanceSpec, ConfiningProfile,
-                                    RateCertificate, balance_eta,
+from pdmp_ergo.certificates import (BalanceSpec, ConfiningProfile, balance_eta,
                                     balance_spec_storage,
                                     balance_spec_tcp_constant,
                                     balance_spec_tcp_linear,
@@ -269,7 +268,7 @@ def test_perturb_logsob_validates_power_mean():
 
 def test_certify_constant_rate_chain():
     cert = certify_tcp_constant(1.0, 0.5)
-    assert (cert.chain_profile.c, cert.chain_profile.gamma) == (1.0, 0.25)
+    assert (cert.chain_profile_c, cert.chain_profile_gamma) == (1.0, 0.25)
     assert cert.chain_poincare_c == pytest.approx(4.0 / 3.0, rel=1e-15)
     assert cert.poincare_c == pytest.approx(16.0 / 3.0, rel=1e-13)
     assert cert.gradient_rate == pytest.approx(0.75, abs=1e-15)
@@ -299,14 +298,14 @@ def test_certify_increasing_subvalues():
     cert = certify_tcp_increasing(1.0, 0.5, 0.5, h_at)
     assert cert.beta == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert cert.eta == pytest.approx(0.375, abs=1e-15)
-    assert cert.details["median_bound"] == pytest.approx(2.0, abs=1e-15)
-    assert cert.details["chain_poincare_c"] == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert cert.median_bound == pytest.approx(2.0, abs=1e-15)
+    assert cert.chain_poincare_c == pytest.approx(4.0 / 3.0, rel=1e-15)
     # frozen from the quadrature value of the normaliser at the median bound
     # (rate 1 + x flowed from the bound 2, so the survival exponent is 3t + t^2/2)
     h2 = h_at(2.0)
     assert h2 == pytest.approx(0.3045902987101037, rel=1e-10)
     expect_cprime = 8.0 * (1.0 / h2) * (4.0 / 3.0)
-    assert cert.details["reweighted_poincare_c"] == pytest.approx(expect_cprime, rel=1e-12)
+    assert cert.reweighted_poincare_c == pytest.approx(expect_cprime, rel=1e-12)
     assert cert.poincare_c == pytest.approx(4.0 + expect_cprime, rel=1e-12)
     assert abs(cert.decay_rate * cert.prefactor - cert.eta) <= 1e-12
 
@@ -322,7 +321,7 @@ def test_certify_linear_frozen_values():
     assert cert.g_ratio_bound == pytest.approx(4.732050807568877, rel=1e-12)
     assert cert.kappa_g == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-15)
     assert np.isfinite(cert.entropy_c) and cert.entropy_c > 0
-    upper = (1.0 - cert.delta) * cert.theta
+    upper = (1.0 - 0.5) * cert.theta
     assert 0.0 < cert.rate_r < upper
     assert cert.weighted_logsob_c == pytest.approx(cert.perturbed_logsob_c + 4.0, rel=1e-15)
 
@@ -367,13 +366,13 @@ def test_certify_linear_at_zero_delta():
     cert = certify_tcp_linear(0.0)
     assert cert.chain_logsob_c == 0.0 and cert.perturbed_logsob_c == 0.0
     assert cert.weighted_logsob_c == 4.0
-    assert all(math.isfinite(v) for _, v, _ in cert.ledger)
+    assert all(math.isfinite(v) for _, v, _ in cert)
     with pytest.raises(ValueError, match="delta"):
         certify_tcp_linear(-1e-300)
 
 
 def test_certify_linear_names_the_closed_form():
-    derivation = {k: d for k, _, d in certify_tcp_linear(0.5).ledger}
+    derivation = {k: d for k, _, d in certify_tcp_linear(0.5)}
     assert derivation["beta_opt"].startswith("closed-form maximiser")
     assert "golden" not in derivation["beta_opt"]
 
@@ -385,11 +384,6 @@ def test_certify_linear_audit_lines():
     normaliser = chain.expectation(linear_h)
     assert 1.0 / cert.g_ratio_bound <= normaliser <= math.sqrt(math.pi / 2.0)
     assert chain.expectation(lambda x: 1.0 / linear_h(x)) <= cert.g_ratio_bound
-
-
-def test_rate_certificate_identity():
-    cert = RateCertificate(eta=0.375, beta=2.0 / 3.0, poincare_c=39.0)
-    assert abs(cert.decay_rate * cert.prefactor - cert.eta) <= 1e-12
 
 
 def test_generalized_alpha():

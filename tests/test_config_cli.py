@@ -393,6 +393,21 @@ def test_registry_record_per_model(tmp_path, model):
     assert main(["certify", "--config", cfg, "--out", out]) == 0
 
 
+@pytest.mark.parametrize("model", sorted(REGISTRY))
+def test_registry_bounds_are_ledger_quantities(model):
+    # certify, verify and inequality read each bound from the ledger by
+    # name, and a repeated name would silently read its first row
+    record = REGISTRY[model]
+    config = RunConfig(model=model)
+    ledger = record.certificate(config, build_model(config))
+    names = [name for name, _, _ in ledger]
+    assert len(names) == len(set(names))
+    read = set(record.bounds) | ({record.inequality.bound} if record.inequality else set())
+    assert read <= set(names)
+    with pytest.raises(AttributeError, match="no_such_quantity"):
+        ledger.no_such_quantity
+
+
 def test_cli_linear_verify_entropy_path(tmp_path):
     body = (
         "model = tcp_linear\ndelta = 0.5\nseed = 19\n"

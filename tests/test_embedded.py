@@ -288,7 +288,6 @@ def test_h_divergence_detected():
         name="dying",
         domain_low=0.0,
         domain_high=np.inf,
-        drift=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         flow=lambda x, t: np.asarray(x, dtype=float) + t,
         rate=lambda x: np.exp(-np.asarray(x, dtype=float)),
         cum_rate=lambda x, t: np.exp(-np.asarray(x, dtype=float))

@@ -4,7 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 # scipy is used for scipy.special only; a run that loads one of these pays
 # for it in every fresh process
@@ -36,13 +39,27 @@ check("certify twisted_tcp_linear")
 """
 
 
-def test_runs_load_no_integrate_optimize_or_linalg(tmp_path):
-    code = STAGES.format(unused=UNUSED, cfg=str(tmp_path / "run.cfg"), out=str(tmp_path / "out"))
+def _run_python(code, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_runs_load_no_integrate_optimize_or_linalg(tmp_path):
+    _run_python(STAGES.format(unused=UNUSED, cfg=str(tmp_path / "run.cfg"),
+                              out=str(tmp_path / "out")))
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the documented API is run, not only shown; the block prints the two
+    # constants its comments give
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = [float(v) for v in _run_python(code, cwd=tmp_path).split()]
+    assert printed == pytest.approx([16.0 / 3.0, 0.75], rel=1e-12)
 
 
 def test_only_experiments_reads_chart_or_base():

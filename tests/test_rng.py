@@ -45,10 +45,8 @@ def test_marks_distributions():
     reps = np.arange(100_000)
     u = marks.uniform(reps, 0)
     e = marks.exponential(reps, 1)
-    g = marks.normal(reps, 2)
     assert stats.kstest(u, "uniform").pvalue > 1e-3
     assert stats.kstest(e, "expon").pvalue > 1e-3
-    assert stats.kstest(g, "norm").pvalue > 1e-3
     assert 0.0 < u.min() and u.max() < 1.0
 
 
@@ -89,7 +87,6 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("as_list", [False, True], ids=["int64", "list"])
 def test_marks_match_the_reference_hash_bit_for_bit(as_list):
-    from scipy.special import ndtri
     stream = RandomStream(2014).substream(9)
     key = int(stream.key64())
     marks = EventMarks(stream)
@@ -99,13 +96,12 @@ def test_marks_match_the_reference_hash_bit_for_bit(as_list):
         u = _reference_uniform(key, reps, event, slot)
         _same_bits(marks.uniform(arg, event, slot), u)
         _same_bits(marks.exponential(arg, event, slot), -np.log1p(-u))
-        _same_bits(marks.normal(arg, event, slot), ndtri(u))
     # a jump kernel's draws take slots 1, 2, 3 of their event in order; the
     # last slot is 63 and one more draw has no slot left
     view = MarkView(marks, arg, 10 ** 6)
     _same_bits(view.uniform(4), _reference_uniform(key, reps, 10 ** 6, 1))
     _same_bits(view.exponential(4), -np.log1p(-_reference_uniform(key, reps, 10 ** 6, 2)))
-    _same_bits(view.normal(4), ndtri(_reference_uniform(key, reps, 10 ** 6, 3)))
+    _same_bits(view.uniform(4), _reference_uniform(key, reps, 10 ** 6, 3))
     last = MarkView(marks, arg, 0, first_slot=63)
     _same_bits(last.uniform(), _reference_uniform(key, reps, 0, 63))
     with pytest.raises(RuntimeError, match="draw slots"):
