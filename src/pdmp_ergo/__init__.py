@@ -19,10 +19,9 @@ from .estimators import (DecayFit, TestFunction, default_family,
                          fit_decay_rate, variance_of_semigroup, wasserstein_1d)
 from .experiments import run_experiment
 from .models import (StorageParams, TcpConstantParams, TcpIncreasingParams,
-                     TcpLinearParams, make_storage, make_tcp_constant,
-                     make_tcp_increasing, make_tcp_linear,
-                     make_twisted_tcp_linear, tcp_constant_invariant_moments,
-                     tcp_constant_spectrum)
+                     make_storage, make_tcp_constant, make_tcp_increasing,
+                     make_tcp_linear, make_twisted_tcp_linear,
+                     tcp_constant_invariant_moments, tcp_constant_spectrum)
 from .rng import RandomStream
 
 __version__ = "0.1.0"

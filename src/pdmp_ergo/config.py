@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from .estimators import default_family
 from .registry import REGISTRY
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "parse_config_text", "serialize"]
 
 EXPERIMENTS = ("simulate", "certify", "verify", "inequality")
 MODELS = tuple(REGISTRY)
-DEFAULT_FUNCTIONS = ("x", "x^2", "exp(-x)", "sin(x)", "sin(3x)", "log1p(x)", "x*exp(-x)")
+DEFAULT_FUNCTIONS = tuple(tf.label for tf in default_family())
 
 
 class ConfigError(ValueError):
@@ -33,7 +34,6 @@ class RunConfig:
     delta: float = 0.5
     lambda_star: float = 1.0
     rate_slope: float = 1.0
-    kappa: Optional[float] = None
     u_scale: float = 1.0
     seed: int = 0
     n_outer: int = 10_000
@@ -61,22 +61,11 @@ class RunConfig:
                 f"model {self.model} has no {self.experiment} experiment; "
                 f"it supports {', '.join(supported)}")
         for key, rule in record.params:
-            value = getattr(self, key)
-            if value is not None and not _RULES[rule](value):
+            if not _RULES[rule](getattr(self, key)):
                 raise ConfigError(f"model {self.model}: {key} must {rule}")
         if self.experiment == "simulate" and self.chain_length < 2:
             # one chain state gives one column: no between-chain error
             raise ConfigError("simulate needs chain_length at least 2")
-        problem = record.relation and record.relation(self)
-        if problem:
-            raise ConfigError(f"model {self.model}: {problem}")
-
-    def kappa_value(self) -> float:
-        """Log-rate Lipschitz constant; for the affine rate family the slope
-        over the floor unless set explicitly."""
-        if self.kappa is not None:
-            return self.kappa
-        return self.rate_slope / self.lambda_star
 
 
 _RULES = {
@@ -146,7 +135,6 @@ _KEYS = {
     "delta": ("delta", number_parser("delta", float, "lie in [0,1)")),
     "lambda_star": ("lambda_star", number_parser("lambda_star", float, "be positive")),
     "rate_slope": ("rate_slope", number_parser("rate_slope", float, "be positive")),
-    "kappa": ("kappa", number_parser("kappa", float, "be nonnegative")),
     "u_scale": ("u_scale", number_parser("u_scale", float, "be positive")),
     "seed": ("seed", number_parser("seed", int, "be nonnegative")),
     "n_outer": ("n_outer", number_parser("n_outer", int, "be positive")),
@@ -208,10 +196,9 @@ def _text(value) -> str:
 
 
 def serialize(config: RunConfig) -> str:
-    """Canonical text form, one line per set key in parser order; reparsing
+    """Canonical text form, one line per key in parser order; reparsing
     gives back an equal config."""
-    return "".join(f"{key} = {_text(getattr(config, attr))}\n"
-                   for key, (attr, _) in _KEYS.items() if getattr(config, attr) is not None)
+    return "".join(f"{key} = {_text(getattr(config, attr))}\n" for key, (attr, _) in _KEYS.items())
 
 
 def with_overrides(config: RunConfig, **kwargs) -> RunConfig:

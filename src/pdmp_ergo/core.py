@@ -75,9 +75,8 @@ class Model:
     the inverse of that integral in ``t``, and ``jump(x, rng)`` a sample
     of the post-jump state.  All callables must accept numpy arrays.
 
-    ``jump_gradient_bound`` is the factor by which the jump kernel can
-    expand the (weighted) gradient; ``weight`` is the gradient weight used
-    by weighted energies (constantly one unless the model says otherwise).
+    ``weight`` is the gradient weight used by weighted energies (constantly
+    one unless the model says otherwise).
 
     ``h_form`` and ``ktilde_sampler``, when provided, are closed-form
     shortcuts used by the embedded-chain module (the mean residual
@@ -99,7 +98,6 @@ class Model:
     cum_rate: Callable
     inv_cum_rate: Callable
     jump: Callable
-    jump_gradient_bound: Callable
     weight: Callable = _ones_like
     h_form: Optional[Callable] = None
     ktilde_sampler: Optional[Callable] = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +27,6 @@ from .core import Model
 
 __all__ = [
     "TcpConstantParams",
-    "TcpLinearParams",
     "TcpIncreasingParams",
     "StorageParams",
     "exponential_increment",
@@ -101,22 +100,11 @@ class TcpConstantParams:
 
 
 @dataclass(frozen=True)
-class TcpLinearParams:
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0,1)")
-
-
-@dataclass(frozen=True)
 class TcpIncreasingParams:
     """Nondecreasing rate with positive floor and log-Lipschitz constant.
 
     ``kappa`` is supplied by the caller and spot-checked on a grid rather
-    than derived symbolically.  ``cum_rate``/``inv_cum_rate`` may be given
-    in closed form; otherwise a quadrature table along the unit-speed flow
-    is built.
+    than derived symbolically.
     """
 
     rate_fn: Callable
@@ -124,8 +112,6 @@ class TcpIncreasingParams:
     kappa: float
     delta: float
     check_high: float = 50.0
-    cum_rate: Optional[Callable] = None
-    inv_cum_rate: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.lambda_star > 0:
@@ -194,31 +180,30 @@ def _constant_rate_forms(lam: float) -> dict:
     )
 
 
+def _tcp(name: str, delta: Optional[float], jump: Optional[Callable] = None,
+         **fields) -> Model:
+    """A model of the additive-growth multiplicative-collapse family: the
+    flow x + t on [0, inf) and, unless a random ``jump`` is given, the
+    collapse x -> delta x with delta in [0, 1)."""
+    if jump is None:
+        if not 0.0 <= delta < 1.0:
+            raise ValueError("delta must lie in [0,1)")
+        delta = float(delta)
+        jump = lambda x, rng: delta * np.asarray(x, dtype=float)  # noqa: E731
+    return Model(name=name, domain_low=0.0, domain_high=np.inf,
+                 flow=lambda x, t: np.asarray(x, dtype=float) + t, jump=jump, **fields)
+
+
 def make_tcp_constant(params: TcpConstantParams) -> Model:
-    lam = float(params.rate)
-    m2 = params.moment(2)
-
-    if params.deterministic:
-        delta = float(params.delta)
-
-        def jump(x, rng):
-            return delta * np.asarray(x, dtype=float)
-    else:
+    jump = None
+    if not params.deterministic:
         sampler = params.factor_sampler
 
         def jump(x, rng):
             r = np.asarray(sampler(_draws(rng, x)), dtype=float)
             return r * np.asarray(x, dtype=float)
 
-    return Model(
-        name="tcp_constant",
-        domain_low=0.0,
-        domain_high=np.inf,
-        flow=lambda x, t: np.asarray(x, dtype=float) + t,
-        jump=jump,
-        jump_gradient_bound=_const(m2),
-        **_constant_rate_forms(lam),
-    )
+    return _tcp("tcp_constant", params.delta, jump, **_constant_rate_forms(float(params.rate)))
 
 
 def tcp_constant_invariant_moments(params: TcpConstantParams, k: int) -> float:
@@ -325,18 +310,11 @@ def _affine_rate_forms(rate: Callable, slope: float) -> dict:
     )
 
 
-def make_tcp_linear(params: TcpLinearParams) -> Model:
-    delta = float(params.delta)
-    return Model(
-        name="tcp_linear",
-        domain_low=0.0,
-        domain_high=np.inf,
-        flow=lambda x, t: np.asarray(x, dtype=float) + t,
-        jump=lambda x, rng: delta * np.asarray(x, dtype=float),
-        jump_gradient_bound=_const(delta),
-        weight=linear_weight,
-        **_affine_rate_forms(lambda x: np.asarray(x, dtype=float), 1.0),
-    )
+def make_tcp_linear(delta: float) -> Model:
+    # the identity rate, not 0 + 1*x: it hands a float array back unchanged,
+    # so the affine forms cost no extra array pass per engine round
+    return _tcp("tcp_linear", delta, weight=linear_weight,
+                **_affine_rate_forms(lambda x: np.asarray(x, dtype=float), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +335,6 @@ def make_storage(params: StorageParams) -> Model:
         domain_high=np.inf,
         flow=lambda x, t: np.asarray(x, dtype=float) * np.exp(-np.asarray(t, dtype=float)),
         jump=jump,
-        jump_gradient_bound=_const(1.0),
         **_constant_rate_forms(lam),
     )
 
@@ -527,52 +504,35 @@ class UnitFlowCumRate:
 
 
 def make_tcp_increasing(params: TcpIncreasingParams) -> Model:
-    delta = float(params.delta)
     rate_fn = params.rate_fn
+    table = UnitFlowCumRate(rate_fn)
 
-    if params.cum_rate is not None and params.inv_cum_rate is not None:
-        cum_rate, inv_cum_rate = params.cum_rate, params.inv_cum_rate
-    else:
-        table = UnitFlowCumRate(rate_fn)
+    def cum_rate(x, t):
+        x = np.asarray(x, dtype=float)
+        t = np.asarray(t, dtype=float)
+        return table.value(x + t) - table.value(x)
 
-        def cum_rate(x, t):
-            x = np.asarray(x, dtype=float)
-            t = np.asarray(t, dtype=float)
-            return table.value(x + t) - table.value(x)
+    def inv_cum_rate(x, u):
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        return table.inverse(table.value(x) + u) - x
 
-        def inv_cum_rate(x, u):
-            x = np.asarray(x, dtype=float)
-            u = np.asarray(u, dtype=float)
-            return table.inverse(table.value(x) + u) - x
-
-    return Model(
-        name="tcp_increasing",
-        domain_low=0.0,
-        domain_high=np.inf,
-        flow=lambda x, t: np.asarray(x, dtype=float) + t,
-        rate=lambda x: np.asarray(rate_fn(np.asarray(x, dtype=float)), dtype=float),
-        cum_rate=cum_rate,
-        inv_cum_rate=inv_cum_rate,
-        jump=lambda x, rng: delta * np.asarray(x, dtype=float),
-        jump_gradient_bound=_const(delta * delta),
-    )
+    return _tcp("tcp_increasing", params.delta,
+                rate=lambda x: np.asarray(rate_fn(np.asarray(x, dtype=float)), dtype=float),
+                cum_rate=cum_rate, inv_cum_rate=inv_cum_rate)
 
 
-def make_affine_rate_tcp(lambda_star: float, slope: float, delta: float,
-                         kappa: Optional[float] = None) -> Model:
+def make_affine_rate_tcp(lambda_star: float, slope: float, delta: float) -> Model:
     """Nondecreasing-rate model with rate(x) = lambda_star + slope*x.
 
     Same process family as :func:`make_tcp_increasing` but with the closed
-    forms of :func:`_affine_rate_forms` throughout.
+    forms of :func:`_affine_rate_forms` throughout.  Its log-Lipschitz
+    constant is slope/lambda_star, reached at x = 0.
     """
-    kappa = slope / lambda_star if kappa is None else kappa
-    forms = _affine_rate_forms(lambda x: lambda_star + slope * np.asarray(x, dtype=float), slope)
-    params = TcpIncreasingParams(
-        rate_fn=forms["rate"], lambda_star=lambda_star, kappa=kappa, delta=delta,
-        cum_rate=forms["cum_rate"], inv_cum_rate=forms["inv_cum_rate"],
-    )
-    return replace(make_tcp_increasing(params), h_form=forms["h_form"],
-                   ktilde_sampler=forms["ktilde_sampler"])
+    if not (lambda_star > 0 and slope > 0):
+        raise ValueError("lambda_star and slope must be positive")
+    return _tcp("tcp_increasing", delta, **_affine_rate_forms(
+        lambda x: lambda_star + slope * np.asarray(x, dtype=float), slope))
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +601,6 @@ def conjugate(base: Model, chart) -> Model:
         cum_rate=on_base(base.cum_rate),
         inv_cum_rate=on_base(base.inv_cum_rate),
         jump=lambda z, rng: psi(base.jump(psi_inv(z), rng)),
-        jump_gradient_bound=base.jump_gradient_bound,
         h_form=on_base(base.h_form),
         ktilde_sampler=on_base(base.ktilde_sampler),
         base=base,
@@ -650,4 +609,4 @@ def conjugate(base: Model, chart) -> Model:
 
 
 def make_twisted_tcp_linear(delta: float) -> Model:
-    return conjugate(make_tcp_linear(TcpLinearParams(delta)), psi_chart())
+    return conjugate(make_tcp_linear(delta), psi_chart())

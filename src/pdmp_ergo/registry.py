@@ -38,8 +38,7 @@ class ModelRecord:
     entropy or variance); ``check`` returns one more (name, ok, detail)
     certify assertion from the ledger; ``params`` holds (field, rule) pairs
     the config parser enforces for this model on top of the field's own
-    rule; ``relation`` says what is wrong with a combination of fields, or
-    None."""
+    rule."""
 
     build: Callable[[RunConfig], Model]
     certificate: Callable[[RunConfig, Model], cert.Ledger]
@@ -48,16 +47,9 @@ class ModelRecord:
     inequality: Optional[InequalitySpec] = None
     check: Optional[Callable[[RunConfig, cert.Ledger], tuple]] = None
     params: tuple = ()
-    relation: Optional[Callable[[RunConfig], Optional[str]]] = None
 
     def supports(self, experiment: str) -> bool:
         return experiment != "inequality" or self.inequality is not None
-
-
-def _kappa_floor(c):
-    # kappa bounds the log slope rate_slope/(lambda_star + rate_slope*x), top at x = 0
-    if c.kappa is not None and c.kappa < c.rate_slope / c.lambda_star:
-        return f"kappa must be at least rate_slope/lambda_star = {c.rate_slope / c.lambda_star:.6g}"
 
 
 def _closed_form_check(config, ledger):
@@ -84,7 +76,7 @@ REGISTRY = {
         check=_closed_form_check,
     ),
     "tcp_linear": ModelRecord(
-        build=lambda c: models.make_tcp_linear(models.TcpLinearParams(c.delta)),
+        build=lambda c: models.make_tcp_linear(c.delta),
         certificate=lambda c, m: cert.certify_tcp_linear(c.delta),
         bounds=("entropy_c", "rate_r", "weighted_logsob_c"),
         verify="entropy",
@@ -92,16 +84,16 @@ REGISTRY = {
         check=_rate_interval_check,
     ),
     "tcp_increasing": ModelRecord(
-        build=lambda c: models.make_affine_rate_tcp(
-            c.lambda_star, c.rate_slope, c.delta, c.kappa),
+        build=lambda c: models.make_affine_rate_tcp(c.lambda_star, c.rate_slope, c.delta),
+        # kappa is the affine rate's largest log slope, rate_slope/lambda_star at x = 0
         certificate=lambda c, m: cert.certify_tcp_increasing(
-            c.lambda_star, c.delta, c.kappa_value(), h_at=lambda x: embedded.h_function(m, x)),
+            c.lambda_star, c.delta, c.rate_slope / c.lambda_star,
+            h_at=lambda x: embedded.h_function(m, x)),
         bounds=("poincare_c", "decay_rate", "eta", "beta"),
         verify="variance",
         inequality=InequalitySpec(2.0, "poincare_c"),
-        # the certificate needs a contracting jump and a rising rate
-        params=(("delta", "be positive"), ("kappa", "be positive")),
-        relation=_kappa_floor,
+        # the certificate needs a contracting jump
+        params=(("delta", "be positive"),),
     ),
     # no inequality certificate: the pre-jump kernel spreads mass
     "storage": ModelRecord(

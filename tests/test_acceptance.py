@@ -21,7 +21,7 @@ from pdmp_ergo.estimators import (TestFunction, default_family, energy_W,
                                   entropy_p, fit_decay_rate,
                                   inequality_details, wasserstein_1d)
 from pdmp_ergo.experiments import entropy_decay_series
-from pdmp_ergo.models import (StorageParams, TcpConstantParams, TcpLinearParams,
+from pdmp_ergo.models import (StorageParams, TcpConstantParams,
                               exponential_increment, linear_weight,
                               make_storage, make_tcp_constant, make_tcp_linear)
 from pdmp_ergo.rng import RandomStream
@@ -42,7 +42,7 @@ def constant_model():
 
 @pytest.fixture(scope="module")
 def linear_model():
-    return make_tcp_linear(TcpLinearParams(0.5))
+    return make_tcp_linear(0.5)
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,7 @@ from pdmp_ergo.certificates import (BalanceSpec, ConfiningProfile, balance_eta,
                                     push_through, tcp_linear_balance_envelope,
                                     theta_constant)
 from pdmp_ergo.embedded import chain_invariant_sample
-from pdmp_ergo.models import TcpLinearParams, linear_h, make_tcp_linear
+from pdmp_ergo.models import linear_h, make_tcp_linear
 from pdmp_ergo.rng import RandomStream
 
 
@@ -379,7 +379,7 @@ def test_certify_linear_names_the_closed_form():
 
 def test_certify_linear_audit_lines():
     cert = certify_tcp_linear(0.5)
-    chain = chain_invariant_sample(make_tcp_linear(TcpLinearParams(0.5)), 20_000,
+    chain = chain_invariant_sample(make_tcp_linear(0.5), 20_000,
                                    stream=RandomStream(3))
     normaliser = chain.expectation(linear_h)
     assert 1.0 / cert.g_ratio_bound <= normaliser <= math.sqrt(math.pi / 2.0)

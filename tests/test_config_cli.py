@@ -8,7 +8,7 @@ from pdmp_ergo.cli import main
 from pdmp_ergo.config import (EXPERIMENTS, ConfigError, RunConfig, parse_config,
                               parse_config_text, serialize)
 from pdmp_ergo.experiments import _VERIFY_ROUTES, build_model
-from pdmp_ergo.models import make_affine_rate_tcp
+from pdmp_ergo.models import TcpIncreasingParams
 from pdmp_ergo.registry import REGISTRY
 
 MINIMAL = """
@@ -56,9 +56,8 @@ def test_time_grid_must_increase():
 
 
 @pytest.mark.parametrize("line", [
-    "lambda = inf", "lambda_star = inf", "rate_slope = inf", "kappa = inf",
-    "kappa = nan", "u_scale = inf", "time_grid = nan", "time_grid = 0,nan,1",
-    "time_grid = 0,1,inf",
+    "lambda = inf", "lambda_star = inf", "rate_slope = inf", "u_scale = inf",
+    "time_grid = nan", "time_grid = 0,nan,1", "time_grid = 0,1,inf",
 ])
 def test_non_finite_number_rejected(line):
     with pytest.raises(ConfigError) as err:
@@ -67,10 +66,7 @@ def test_non_finite_number_rejected(line):
     assert f"run.cfg:2: {key} must be finite" in str(err.value)
 
 
-@pytest.mark.parametrize("line,message", [
-    ("delta = 0", "delta must be positive"), ("kappa = 0", "kappa must be positive"),
-    ("kappa = 0.5", "kappa must be at least rate_slope/lambda_star = 1"),
-])
+@pytest.mark.parametrize("line,message", [("delta = 0", "delta must be positive")])
 def test_model_parameter_rule_rejected(line, message):
     with pytest.raises(ConfigError) as err:
         parse_config_text(f"model = tcp_increasing\n{line}\n", origin="run.cfg")
@@ -79,16 +75,19 @@ def test_model_parameter_rule_rejected(line, message):
 
 
 @pytest.mark.parametrize("lambda_star,rate_slope", [(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)])
-def test_kappa_floor_is_the_affine_log_slope(lambda_star, rate_slope):
-    floor = rate_slope / lambda_star
-    text = (f"model = tcp_increasing\nlambda_star = {lambda_star!r}\n"
-            f"rate_slope = {rate_slope!r}\nkappa = ")
-    assert build_model(parse_config_text(text + repr(floor))).name == "tcp_increasing"
-    with pytest.raises(ConfigError, match="kappa must be at least rate_slope/lambda_star"):
-        parse_config_text(text + repr(floor * (1 - 1e-9)))
-    # well below the floor the model's own grid check fails as well
+def test_certified_kappa_is_the_affine_log_slope(lambda_star, rate_slope):
+    # the largest log slope of lambda_star + rate_slope*x, reached at x = 0
+    kappa = rate_slope / lambda_star
+    cfg = parse_config_text(f"model = tcp_increasing\nlambda_star = {lambda_star!r}\n"
+                            f"rate_slope = {rate_slope!r}\n")
+    model = build_model(cfg)
+    ledger = REGISTRY["tcp_increasing"].certificate(cfg, model)
+    assert ledger.beta == 2.0 * kappa ** 2 / (1.0 - cfg.delta ** 2)
+    # the rate passes the grid check at that kappa and fails it below
+    TcpIncreasingParams(rate_fn=model.rate, lambda_star=lambda_star, kappa=kappa, delta=0.5)
     with pytest.raises(ValueError, match="log-rate slope exceeds kappa"):
-        make_affine_rate_tcp(lambda_star, rate_slope, 0.5, 0.9 * floor)
+        TcpIncreasingParams(rate_fn=model.rate, lambda_star=lambda_star,
+                            kappa=0.9 * kappa, delta=0.5)
 
 
 def test_missing_model():
@@ -109,8 +108,8 @@ def test_serialize_roundtrip():
     assert third == again
 
 
-def test_serialize_roundtrip_with_kappa():
-    cfg = RunConfig(model="tcp_increasing", kappa=1.25, time_grid=(0.0, 1.5, 3.0))
+def test_serialize_roundtrip_of_set_fields():
+    cfg = RunConfig(model="tcp_increasing", rate_slope=1.25, time_grid=(0.0, 1.5, 3.0))
     assert parse_config_text(serialize(cfg)) == cfg
 
 
@@ -309,11 +308,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["certify", "--config", cfg, "--out", out]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not os.path.exists(out)
-    # an explicit kappa below the affine rate's log slope at x = 0
+    # kappa follows from the rate and is no key
     cfg = write_config(tmp_path, "kappa.cfg", "model = tcp_increasing\nkappa = 0.5\n")
     out = str(tmp_path / "kappa")
     assert main(["certify", "--config", cfg, "--out", out]) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert "unknown key 'kappa'" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

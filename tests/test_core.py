@@ -9,7 +9,7 @@ from pdmp_ergo.core import (DomainError, gradient_semigroup_estimate,
                             nested_grid_statistics, sample_jump_time,
                             semigroup_estimate, simulate_ensemble, simulate_path)
 from pdmp_ergo.models import (StorageParams, TcpConstantParams, TcpIncreasingParams,
-                              TcpLinearParams, exponential_increment,
+                              exponential_increment,
                               make_affine_rate_tcp, make_storage, make_tcp_constant,
                               make_tcp_increasing, make_tcp_linear,
                               make_twisted_tcp_linear)
@@ -39,7 +39,7 @@ class FixedExponential:
 def shipped_models():
     return [
         make_tcp_constant(TcpConstantParams(rate=1.0, delta=0.5)),
-        make_tcp_linear(TcpLinearParams(0.5)),
+        make_tcp_linear(0.5),
         make_storage(StorageParams(1.0, exponential_increment(1.0))),
         make_tcp_increasing(TcpIncreasingParams(
             rate_fn=lambda x: 1.0 + np.asarray(x, dtype=float),
@@ -88,12 +88,12 @@ def test_jump_time_constant_rate_forced_draw():
 
 
 def test_jump_time_linear_rate_forced_draw():
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     assert sample_jump_time(model, 0.0, FixedExponential(2.0)) == pytest.approx(2.0, abs=0)
 
 
 def test_jump_time_linear_matches_closed_form_per_draw():
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     rng = RandomStream(3)
     e = rng.exponential(1000)
     x = np.abs(rng.normal(1000)) * 3
@@ -104,7 +104,7 @@ def test_jump_time_linear_matches_closed_form_per_draw():
 def test_jump_time_linear_mean_matches_quadrature():
     # independent oracle: E[T] from the density t * exp(-t^2/2) at the origin
     oracle, _ = integrate.quad(lambda t: t * t * np.exp(-0.5 * t * t), 0, np.inf)
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     e = RandomStream(17).exponential(1_000_000)
     times = model.inv_cum_rate(np.zeros_like(e), e)
     se = times.std(ddof=1) / np.sqrt(times.size)
@@ -144,7 +144,7 @@ def test_pure_flow_with_silent_rate_stub():
 
 
 def test_trajectory_invariants_hold():
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     path = simulate_path(model, 0.5, 50.0, RandomStream(23))
     assert path.n_events > 10
     times = path.jump_times
@@ -185,7 +185,7 @@ def test_ensemble_broadcasts_scalar_start_over_horizons():
 
 
 def test_ensemble_matches_marks_reuse():
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     node = RandomStream(9).substream(1)
     a = simulate_ensemble(model, np.full(512, 1.0), 3.0, node)
     b = simulate_ensemble(model, np.full(512, 1.0), 3.0, node)
@@ -193,7 +193,7 @@ def test_ensemble_matches_marks_reuse():
 
 
 def test_ensemble_rejects_a_start_of_more_than_one_dimension():
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     with pytest.raises(ValueError, match=r"1-d ensemble, got shape \(3, 4\)"):
         simulate_ensemble(model, np.ones((3, 4)), 1.0, RandomStream(0))
     with pytest.raises(ValueError, match=r"got shape \(3, 2\)"):
@@ -306,7 +306,7 @@ def test_semigroup_long_run_reaches_invariant_mean():
 def test_nested_grid_means_match_independent_runs():
     # the grid core advances one ensemble across the grid; at every time its
     # atom-averaged means must agree with a fresh ensemble run from time 0
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     atoms = np.linspace(0.2, 4.0, 200)
     times = [0.5, 1.0, 2.0, 3.0]
     fs = [lambda x: x, np.sin]
@@ -337,7 +337,7 @@ def test_nested_grid_threads_match_serial(monkeypatch):
     # eight atom blocks on more threads than cores write disjoint slices
     # of shared arrays; a lost or misplaced write changes the result
     monkeypatch.setattr(core, "_ATOM_BLOCK", 80)
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     atoms = np.linspace(0.1, 3.0, 80)
     args = (model, [lambda x: x, np.sin], atoms, [0.5, 1.0], 8, RandomStream(4))
     serial = nested_grid_statistics(*args)
@@ -375,7 +375,7 @@ def test_gradient_constant_rate_sub_commutation():
 
 
 @pytest.mark.parametrize("model", [
-    make_tcp_linear(TcpLinearParams(0.5)),
+    make_tcp_linear(0.5),
     make_affine_rate_tcp(1.0, 1.0, 0.5),
     make_twisted_tcp_linear(0.5),
 ], ids=lambda m: m.name)

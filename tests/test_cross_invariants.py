@@ -7,7 +7,7 @@ from pdmp_ergo.certificates import (certify_tcp_constant,
                                     certify_tcp_increasing, certify_tcp_linear)
 from pdmp_ergo.embedded import chain_invariant_sample, h_function, reconstruct_mu
 from pdmp_ergo.estimators import default_family, inequality_details
-from pdmp_ergo.models import (TcpConstantParams, TcpLinearParams, linear_weight,
+from pdmp_ergo.models import (TcpConstantParams, linear_weight,
                               make_affine_rate_tcp, make_tcp_constant,
                               make_tcp_linear, make_twisted_tcp_linear)
 from pdmp_ergo.rng import RandomStream
@@ -32,7 +32,7 @@ def test_constant_certificate_dominates_ratio():
 
 
 def test_linear_certificate_dominates_weighted_ratio():
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     mu = reconstructed(model, 100_000, 603)
     cert = certify_tcp_linear(0.5)
     d = worst_ratio(mu, linear_weight, 1.0)
@@ -60,7 +60,7 @@ def test_twisted_law_is_image_of_base_law():
     # reconstruction through the chart, or reconstruct the image process
     from pdmp_ergo.models import psi_chart
     chart = psi_chart()
-    base_mu = reconstructed(make_tcp_linear(TcpLinearParams(0.5)), 50_000, 609)
+    base_mu = reconstructed(make_tcp_linear(0.5), 50_000, 609)
     twisted_mu = reconstructed(make_twisted_tcp_linear(0.5), 4000, 611)
     pushed_mean = base_mu.expectation(chart.psi)
     direct_mean = twisted_mu.mean()

@@ -13,8 +13,8 @@ from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, _csv_rows, _surviv
                                 kernel_K_sample, kernel_Ktilde_sample, reconstruct_mu,
                                 reweight_and_push, time_average_states)
 from pdmp_ergo.estimators import column_ratio
-from pdmp_ergo.models import (TcpConstantParams, TcpLinearParams,
-                              make_tcp_constant, make_tcp_linear)
+from pdmp_ergo.models import (TcpConstantParams, make_tcp_constant,
+                              make_tcp_linear)
 from pdmp_ergo.rng import RandomStream
 
 
@@ -23,7 +23,7 @@ def constant_model(rate=1.0, delta=0.5):
 
 
 def linear_model(delta=0.5):
-    return make_tcp_linear(TcpLinearParams(delta))
+    return make_tcp_linear(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +294,6 @@ def test_h_divergence_detected():
         * -np.expm1(-np.asarray(t, dtype=float)),
         inv_cum_rate=lambda x, u: np.asarray(u, dtype=float),
         jump=lambda x, rng: np.asarray(x, dtype=float),
-        jump_gradient_bound=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     )
     with pytest.raises(ValueError):
         h_function(dying, 1.0)

@@ -14,7 +14,7 @@ from pdmp_ergo.estimators import (TestFunction, default_family,
                                   family_by_labels, fit_decay_rate,
                                   inequality_details, variance_of_semigroup,
                                   wasserstein_1d)
-from pdmp_ergo.models import (StorageParams, TcpConstantParams, TcpLinearParams,
+from pdmp_ergo.models import (StorageParams, TcpConstantParams,
                               exponential_increment, make_affine_rate_tcp,
                               make_storage, make_tcp_constant, make_tcp_linear)
 from pdmp_ergo.rng import RandomStream
@@ -232,7 +232,7 @@ def test_nested_routes_need_two_inner_replications():
     from pdmp_ergo.experiments import entropy_decay_series
     mu = uniform_measure(np.linspace(0.2, 3.0, 16))
     increasing = make_affine_rate_tcp(1.0, 1.0, 0.5)
-    linear = make_tcp_linear(TcpLinearParams(0.5))
+    linear = make_tcp_linear(0.5)
     with pytest.raises(ValueError, match="two inner replications"):
         variance_of_semigroup(increasing, X_FN, mu, [0.0, 1.0], 1, RandomStream(0))
     with pytest.raises(ValueError, match="two inner replications"):
@@ -244,14 +244,14 @@ def test_nested_routes_need_two_inner_replications():
 def test_energy_refuses_models_without_synchronous_coupling():
     from pdmp_ergo.models import make_twisted_tcp_linear
     mu = uniform_measure(np.linspace(0.2, 3.0, 16))
-    for model in (make_tcp_linear(TcpLinearParams(0.5)), make_affine_rate_tcp(1.0, 1.0, 0.5),
+    for model in (make_tcp_linear(0.5), make_affine_rate_tcp(1.0, 1.0, 0.5),
                   make_twisted_tcp_linear(0.5)):
         with pytest.raises(ValueError, match="not synchronously coupled"):
             energy_W(model, X_FN, mu, 1.0, 16, RandomStream(0))
 
 
 def test_energy_time_zero_exact():
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     mu = uniform_measure(np.linspace(0.2, 4.0, 32))
     est = energy_W(model, X_FN, mu, 0.0, 2, RandomStream(0))
     expect = float(np.mean(model.weight(mu.values)))

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,28 @@ def test_readme_library_example_runs(tmp_path):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     printed = [float(v) for v in _run_python(code, cwd=tmp_path).split()]
     assert printed == pytest.approx([16.0 / 3.0, 0.75], rel=1e-12)
+
+
+def test_readme_config_format_names_every_key_and_its_default():
+    # the example block names keys; the prose after it names the others,
+    # and each `key = value` default it gives parses to the RunConfig default
+    from dataclasses import fields
+
+    from pdmp_ergo.config import _KEYS, MODELS, RunConfig
+
+    section = README.read_text(encoding="utf-8").split("### Config format", 1)[1]
+    section = section.split("\n### ", 1)[0]
+    _, block, prose = section.split("```", 2)
+    shown = set(re.findall(r"^(\w+) =", block, re.M))
+    words = set(re.findall(r"`(\w+)[` ]", prose)) - set(MODELS)
+    assert sorted(shown | words) == sorted(_KEYS)
+    # every key the example leaves out has its default stated
+    stated = dict(re.findall(r"`(\w+) = ([^`]*)`", prose))
+    assert sorted(stated) == sorted(set(_KEYS) - shown)
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for key, text in stated.items():
+        attr, parse = _KEYS[key]
+        assert parse(text) == defaults[attr], key
 
 
 def test_only_experiments_reads_chart_or_base():

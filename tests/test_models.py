@@ -12,9 +12,8 @@ from pdmp_ergo.core import ensemble_states_at, simulate_ensemble
 from pdmp_ergo.embedded import chain_sample_matrix, reweight_and_push
 from pdmp_ergo.experiments import _native
 from pdmp_ergo.models import (PsiChart, StorageParams, TcpConstantParams,
-                              TcpIncreasingParams, TcpLinearParams,
-                              UnitFlowCumRate, exponential_increment,
-                              linear_weight,
+                              TcpIncreasingParams, UnitFlowCumRate,
+                              exponential_increment, linear_weight,
                               make_affine_rate_tcp, make_storage,
                               make_tcp_constant, make_tcp_increasing,
                               make_tcp_linear, make_twisted_tcp_linear,
@@ -52,6 +51,18 @@ def test_increasing_params_check_rate_floor_and_kappa():
                             lambda_star=1.0, kappa=0.05, delta=0.5)
 
 
+@pytest.mark.parametrize("factory,args", [
+    (make_affine_rate_tcp, (1.0, 0.0, 0.5)), (make_affine_rate_tcp, (1.0, -1.0, 0.5)),
+    (make_affine_rate_tcp, (0.0, 1.0, 0.5)), (make_affine_rate_tcp, (-1.0, 1.0, 0.5)),
+    (make_affine_rate_tcp, (1.0, 1.0, 1.0)), (make_tcp_linear, (1.0,)),
+    (make_tcp_linear, (-0.5,)),
+], ids=lambda v: getattr(v, "__name__", None) or "-".join(map(repr, v)))
+def test_tcp_factories_reject_invalid_parameters(factory, args):
+    # a zero slope would make h_form and ktilde_sampler return nan
+    with pytest.raises(ValueError):
+        factory(*args)
+
+
 def test_storage_params_reject_nonpositive_increments():
     with pytest.raises(ValueError):
         StorageParams(1.0, lambda u: np.asarray(u) - 2.0)
@@ -65,7 +76,6 @@ def test_constant_closed_forms():
     model = make_tcp_constant(TcpConstantParams(rate=1.0, delta=0.5))
     assert model.inv_cum_rate(3.0, 2.0) == pytest.approx(2.0, abs=0)
     assert float(model.jump(4.0, RandomStream(0))) == pytest.approx(2.0, abs=0)
-    assert float(model.jump_gradient_bound(1.0)) == pytest.approx(0.25, abs=0)
 
 
 def test_constant_moments_and_spectrum():
@@ -99,7 +109,6 @@ def test_random_factor_model_simulates():
     model = make_tcp_constant(params)
     out = model.jump(np.full(1000, 4.0), RandomStream(3))
     assert np.all((out >= 0) & (out < 2.0))
-    assert float(model.jump_gradient_bound(0.0)) == pytest.approx(1.0 / 12.0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +116,15 @@ def test_random_factor_model_simulates():
 # ---------------------------------------------------------------------------
 
 def test_linear_closed_forms():
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     assert model.inv_cum_rate(0.0, 2.0) == pytest.approx(2.0, abs=0)
     assert float(model.weight(np.log(2.0))) == pytest.approx(0.5, rel=1e-15)
+
+
+def test_linear_rate_returns_its_argument():
+    # no array pass of its own: the affine closed forms evaluate it every round
+    x = np.linspace(0.0, 3.0, 7)
+    assert make_tcp_linear(0.5).rate(x) is x
 
 
 def test_linear_weight_concavity_consequence():
@@ -121,7 +136,7 @@ def test_linear_weight_concavity_consequence():
 def test_linear_mean_jump_time_from_invariant_exponential():
     # Monte Carlo of the inverse transform against the quadrature value
     oracle, _ = integrate.quad(lambda t: t * t * np.exp(-0.5 * t * t), 0, np.inf)
-    model = make_tcp_linear(TcpLinearParams(0.5))
+    model = make_tcp_linear(0.5)
     e = RandomStream(41).exponential(1_000_000)
     t = model.inv_cum_rate(np.zeros_like(e), e)
     assert abs(t.mean() - oracle) <= 3 * t.std(ddof=1) / np.sqrt(t.size)
@@ -134,7 +149,6 @@ def test_linear_mean_jump_time_from_invariant_exponential():
 def test_storage_flow_and_bound():
     model = make_storage(StorageParams(1.0, exponential_increment(1.0)))
     assert float(model.flow(1.0, np.log(2.0))) == pytest.approx(0.5, rel=1e-15)
-    assert float(model.jump_gradient_bound(2.0)) == 1.0
 
 
 def test_increasing_numeric_matches_closed_form():
