@@ -144,6 +144,12 @@ class Estimate:
         return iter((self.value, self.std_error))
 
 
+def _dot(a, b):
+    """Sum of a*b in numpy's fixed-order pairwise summation.  ``np.dot``
+    would call BLAS, whose partial sums depend on its thread count."""
+    return np.add.reduce(np.multiply(a, b), axis=None)
+
+
 def sample_jump_time(model: Model, x, rng) -> float:
     """Draw the first jump time from state ``x`` by inverse transform."""
     model.require_in_domain(x, "start state")

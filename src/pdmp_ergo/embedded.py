@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Model, ensemble_states_at
+from .core import Model, _dot, ensemble_states_at
 from .models import quad
 from .rng import RandomStream
 
@@ -82,22 +82,22 @@ class EmpiricalMeasure:
         return self.values.size
 
     def expectation(self, f: Callable) -> float:
-        return float(np.dot(self.weights, np.asarray(f(self.values), dtype=float)))
+        return float(_dot(self.weights, np.asarray(f(self.values), dtype=float)))
 
     def mean(self) -> float:
-        return float(np.dot(self.weights, self.values))
+        return float(_dot(self.weights, self.values))
 
     def moment(self, k: int) -> float:
-        return float(np.dot(self.weights, self.values ** k))
+        return float(_dot(self.weights, self.values ** k))
 
     def var(self) -> float:
         m = self.mean()
-        return float(np.dot(self.weights, (self.values - m) ** 2))
+        return float(_dot(self.weights, (self.values - m) ** 2))
 
     def mean_std_error(self) -> float:
         """Standard error of the mean treating atoms as independent."""
         m = self.mean()
-        return float(np.sqrt(np.dot(self.weights ** 2, (self.values - m) ** 2)))
+        return float(np.sqrt(_dot(self.weights ** 2, (self.values - m) ** 2)))
 
     def to_csv(self, path):
         """Write a ``value,weight`` header, then for each atom the bytes of

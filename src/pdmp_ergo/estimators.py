@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
-from .core import Estimate, Model, default_bump, nested_grid_statistics
+from .core import Estimate, Model, _dot, default_bump, nested_grid_statistics
 from .embedded import EmpiricalMeasure
 from .rng import RandomStream
 
@@ -96,7 +95,7 @@ def column_ratio(num, den) -> Estimate:
     ratio = num_c.sum() / den_c.sum()
     resid = num_c - ratio * den_c
     c = num_c.size
-    se = np.sqrt(np.dot(resid, resid) / (c * (c - 1))) / den_c.mean()
+    se = np.sqrt(_dot(resid, resid) / (c * (c - 1))) / den_c.mean()
     return Estimate(float(ratio), float(se))
 
 
@@ -112,6 +111,12 @@ def _atoms(values, weights):
     return v, w / w.sum()
 
 
+def _xlogy(x, y):
+    """x log y, and 0 where x == 0, so 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0, 0.0, x * np.log(y))
+
+
 def _entropy_kernel(v, w, p):
     """p-entropy of f under the weighted atoms, given f-values ``v``, with
     its partial derivatives in the atom values and its influence values
@@ -119,24 +124,24 @@ def _entropy_kernel(v, w, p):
     if not 1.0 <= p <= 2.0:
         raise ValueError("p must lie in [1, 2]")
     s = v * v
-    a = float(np.dot(w, s))
+    a = float(_dot(w, s))
     if p == 2.0:
-        m = float(np.dot(w, v))
+        m = float(_dot(w, v))
         val = a - m * m
         return val, 2.0 * w * (v - m), (v - m) ** 2 - val
     if a < 0:
         raise ValueError("mean square is negative; invalid input")
     if p == 1.0:
-        slogs = xlogy(s, s)
-        t1 = float(np.dot(w, slogs))
-        val = t1 - float(xlogy(a, a))
-        grad = 2.0 * w * (xlogy(v, s) - xlogy(v, max(a, 1e-300)))
+        slogs = _xlogy(s, s)
+        t1 = float(_dot(w, slogs))
+        val = t1 - float(_xlogy(a, a))
+        grad = 2.0 * w * (_xlogy(v, s) - _xlogy(v, max(a, 1e-300)))
         infl = slogs - t1 - (np.log(max(a, 1e-300)) + 1.0) * (s - a)
         return val, grad, infl
     if np.any(v < 0):
         raise ValueError("values must be nonnegative for 1 < p < 2")
     g = v ** (2.0 / p)
-    b = float(np.dot(w, g))
+    b = float(_dot(w, g))
     val = (a - b ** p) / (p - 1.0)
     grad = 2.0 * w * (v - b ** (p - 1.0) * np.where(v > 0, v ** (2.0 / p - 1.0), 0.0)) / (p - 1.0)
     infl = ((s - a) - p * b ** (p - 1.0) * (g - b)) / (p - 1.0)
@@ -164,10 +169,10 @@ def entropy_p_with_error(values, p: float, weights=None, inner_variances=None,
     """
     v, w = _atoms(values, weights)
     value, grad, infl = _entropy_kernel(v, w, p)
-    se_sq = float(np.dot(w ** 2, infl ** 2))
+    se_sq = float(_dot(w ** 2, infl ** 2))
     if inner_variances is not None:
         iv = np.ravel(np.asarray(inner_variances, dtype=float))
-        se_sq += float(np.dot(grad ** 2, iv / max(int(inner_n), 1)))
+        se_sq += float(_dot(grad ** 2, iv / max(int(inner_n), 1)))
     return Estimate(value, float(np.sqrt(se_sq)))
 
 
@@ -194,8 +199,8 @@ def wasserstein_1d(p: float, first: EmpiricalMeasure, second: EmpiricalMeasure) 
     deltas = np.diff(np.concatenate([[0.0], qs]))
     gaps = np.abs(va[ia] - vb[ib])
     if p == 1:
-        return float(np.dot(deltas, gaps))
-    return float(np.dot(deltas, gaps ** p) ** (1.0 / p))
+        return float(_dot(deltas, gaps))
+    return float(_dot(deltas, gaps ** p) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +225,11 @@ def variance_of_semigroup(
     out = []
     if times[0] == 0:
         vals = np.asarray(f.f(mu_hat.values), dtype=float)
-        out.append(Estimate(float(np.dot(w, (vals - np.dot(w, vals)) ** 2)), 0.0))
+        out.append(Estimate(float(_dot(w, (vals - _dot(w, vals)) ** 2)), 0.0))
     for mt, vt in zip(means[0], ivars[0]):
-        infl = (mt - np.dot(w, mt)) ** 2 - vt / inner_n
-        value = float(np.dot(w, infl))
-        out.append(Estimate(value, float(np.sqrt(np.dot(w ** 2, (infl - value) ** 2)))))
+        infl = (mt - _dot(w, mt)) ** 2 - vt / inner_n
+        value = float(_dot(w, infl))
+        out.append(Estimate(value, float(np.sqrt(_dot(w ** 2, (infl - value) ** 2)))))
     return out
 
 
@@ -244,14 +249,14 @@ def energy_W(
     a_vals = np.asarray(model.weight(mu_hat.values), dtype=float)
     if t == 0:
         dv = np.asarray(f.df(mu_hat.values), dtype=float)
-        return Estimate(float(np.dot(w, a_vals * dv * dv)), 0.0)
+        return Estimate(float(_dot(w, a_vals * dv * dv)), 0.0)
     atoms = mu_hat.values
     bumps = default_bump(atoms) if h is None else np.full(atoms.shape, h, dtype=float)
     gmean, gvar = (a[0, 0] for a in nested_grid_statistics(
         model, [f.f], atoms, [t], inner_n, stream.spawn(), bumps=bumps))
     infl = a_vals * (gmean ** 2 - gvar / inner_n)
-    value = float(np.dot(w, infl))
-    se = float(np.sqrt(np.dot(w ** 2, (infl - value) ** 2)))
+    value = float(_dot(w, infl))
+    se = float(np.sqrt(_dot(w ** 2, (infl - value) ** 2)))
     return Estimate(value, se)
 
 
@@ -291,14 +296,14 @@ def fit_decay_rate(series, rel_err_cap: float = 0.5) -> DecayFit:
     sy = np.maximum(se / v, 1e-15)
     wt = 1.0 / sy ** 2
     sw = wt.sum()
-    tbar = np.dot(wt, t) / sw
-    ybar = np.dot(wt, y) / sw
-    stt = np.dot(wt, (t - tbar) ** 2)
-    slope = np.dot(wt, (t - tbar) * (y - ybar)) / stt
+    tbar = _dot(wt, t) / sw
+    ybar = _dot(wt, y) / sw
+    stt = _dot(wt, (t - tbar) ** 2)
+    slope = _dot(wt, (t - tbar) * (y - ybar)) / stt
     intercept = ybar - slope * tbar
     resid = y - (intercept + slope * t)
-    sst = np.dot(wt, (y - ybar) ** 2)
-    r2 = 1.0 - np.dot(wt, resid ** 2) / sst if sst > 0 else 1.0
+    sst = _dot(wt, (y - ybar) ** 2)
+    r2 = 1.0 - _dot(wt, resid ** 2) / sst if sst > 0 else 1.0
     return DecayFit(
         times=t,
         log_values=y,
@@ -330,13 +335,13 @@ def inequality_details(
             raise ValueError(f"{tf.label}: negative values not allowed for 1 < p < 2")
         dv = np.asarray(tf.df(x), dtype=float)
         den_terms = a_vals * dv * dv
-        den = float(np.dot(w, den_terms))
+        den = float(_dot(w, den_terms))
         if den <= 1e-300:
             raise ValueError(f"degenerate gradient energy for test function {tf.label}")
         num, _, infl_n = _entropy_kernel(fv, w, p)
         ratio = num / den
         infl_r = (infl_n - ratio * (den_terms - den)) / den
-        se = float(np.sqrt(np.dot(w ** 2, infl_r ** 2)))
+        se = float(np.sqrt(_dot(w ** 2, infl_r ** 2)))
         out.append({"label": tf.label, "ratio": float(ratio), "entropy": float(num),
                     "energy": den, "std_error": se})
     return out

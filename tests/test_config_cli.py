@@ -1,5 +1,8 @@
 import filecmp
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +221,26 @@ def test_cli_chain_worker_invariance(tmp_path, experiment, model):
         runs.append((code, [(os.path.basename(f), open(f, "rb").read()) for f in files]))
     assert runs[0] == runs[1]
     assert [name for name, _ in runs[0][1]] == ["ledger.csv", "measure.csv"]
+
+
+@pytest.mark.parametrize("experiment", ["inequality", "verify"])
+def test_cli_outputs_independent_of_blas_threads(tmp_path, experiment):
+    # a BLAS dot product splits its sum by thread count above a length the
+    # default chain and atom counts pass; every sum must be numpy's own
+    cfg = write_config(tmp_path, "run.cfg", "model = tcp_constant\nseed = 0\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = str(tmp_path / f"t{threads}")
+        done = subprocess.run([sys.executable, "-m", "pdmp_ergo.cli", experiment,
+                               "--config", cfg, "--out", out],
+                              env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append([(os.path.basename(f), open(f, "rb").read())
+                     for f in run_files(out, experiment)])
+    assert runs[0] == runs[1]
 
 
 def test_cli_seed_override_changes_outputs(tmp_path):

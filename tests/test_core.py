@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -405,3 +406,14 @@ def test_explosion_guard_trips():
         simulate_path(model, 0.0, 100.0, RandomStream(1), max_events=20)
     with pytest.raises(ExplosionError):
         simulate_ensemble(model, np.zeros(16), 100.0, RandomStream(2), max_events=20)
+
+
+# ---------------------------------------------------------------------------
+# sums
+# ---------------------------------------------------------------------------
+
+def test_dot_is_within_rounding_of_the_exact_sum():
+    # numpy's pairwise sum against the exactly rounded sum of the same products
+    a, b = RandomStream(7).uniform(100_000), RandomStream(8).uniform(100_000)
+    assert core._dot(a, b) == pytest.approx(math.fsum(a * b), rel=1e-14, abs=0)
+    assert core._dot(a[:1], b[:1]) == a[0] * b[0]

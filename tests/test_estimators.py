@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from pdmp_ergo.certificates import certify_tcp_constant
 from pdmp_ergo.core import nested_grid_statistics
 from pdmp_ergo.embedded import EmpiricalMeasure, chain_invariant_sample, reconstruct_mu
-from pdmp_ergo.estimators import (TestFunction, default_family,
+from pdmp_ergo.estimators import (TestFunction, _xlogy, default_family,
                                   empirical_inequality_ratio, energy_W,
                                   entropy_p, entropy_p_with_error,
                                   family_by_labels, fit_decay_rate,
@@ -87,6 +88,27 @@ def test_entropy_p1_accepts_signed_values():
     v = np.array([-1.0, 0.0, 2.0, -3.0])
     direct = entropy_p(np.abs(v), 1.0)
     assert entropy_p(v, 1.0) == pytest.approx(direct, rel=1e-14)
+
+
+def test_xlogy_form_matches_scipy():
+    from scipy import special
+
+    # signed x with y = x^2 is the gradient term of the p = 1 kernel, and
+    # x = y = s the entropy term
+    x = RandomStream(12).normal(200_000)
+    assert np.sum(x < 0) > 90_000
+    for got, want in ((_xlogy(x, x * x), special.xlogy(x, x * x)),
+                      (_xlogy(x * x, x * x), special.xlogy(x * x, x * x))):
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+
+
+def test_xlogy_form_is_exactly_zero_at_zero_x():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _xlogy(np.array([0.0, -0.0, 0.0, 2.0]), np.array([0.0, 0.0, 5.0, 1.0]))
+        assert np.array_equal(out, np.zeros(4))
+        assert float(_xlogy(0.0, 0.0)) == 0.0
+    assert float(_xlogy(2.0, 3.0)) == 2.0 * np.log(3.0)
 
 
 def test_entropy_fractional_rejects_signed_values():

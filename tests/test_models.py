@@ -133,6 +133,39 @@ def test_linear_weight_concavity_consequence():
     assert np.all(linear_weight(delta * x) >= delta * linear_weight(x) - 1e-15)
 
 
+def _ulps(got, want):
+    return np.max(np.abs(got - want) / np.spacing(np.abs(want)))
+
+
+def test_erfcx_matches_scipy_on_the_half_line():
+    dense = np.linspace(0.0, 40.0, 400_001)
+    wide = np.concatenate([np.logspace(-300, 300, 60_001), [1.7e308]])
+    assert _ulps(models._erfcx(dense), special.erfcx(dense)) <= 16
+    assert _ulps(models._erfcx(wide), special.erfcx(wide)) <= 16
+
+
+def test_erfcx_at_zero_and_in_the_far_tail():
+    assert models._erfcx(0.0) == 1.0
+    assert models._erfcx(np.inf) == 0.0
+    # erfcx(z) = (1 - 1/(2 z^2) + ...) / (sqrt(pi) z): the correction is
+    # below one ulp from z = 1e8 on
+    z = np.logspace(8, 300, 2921)
+    assert _ulps(models._erfcx(z), 1.0 / (np.sqrt(np.pi) * z)) <= 4
+
+
+def test_linear_h_is_the_scaled_erfc_form():
+    x = np.concatenate([np.linspace(0.0, 60.0, 60_001), np.logspace(2, 300, 299)])
+    want = np.sqrt(np.pi / 2.0) * special.erfcx(x / np.sqrt(2.0))
+    assert _ulps(models.linear_h(x), want) <= 16
+    assert isinstance(models.linear_h(1.5), float)
+
+
+@pytest.mark.parametrize("x", [-1e-300, -1.0, [0.5, -np.inf]])
+def test_linear_h_refuses_negative_input(x):
+    with pytest.raises(ValueError, match="nonnegative"):
+        models.linear_h(x)
+
+
 def test_linear_mean_jump_time_from_invariant_exponential():
     # Monte Carlo of the inverse transform against the quadrature value
     oracle, _ = integrate.quad(lambda t: t * t * np.exp(-0.5 * t * t), 0, np.inf)
