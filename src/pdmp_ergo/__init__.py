@@ -18,9 +18,8 @@ from .estimators import (DecayFit, TestFunction, default_family,
                          empirical_inequality_ratio, energy_W, entropy_p,
                          fit_decay_rate, variance_of_semigroup, wasserstein_1d)
 from .experiments import run_experiment
-from .models import (StorageParams, TcpConstantParams, TcpIncreasingParams,
-                     make_storage, make_tcp_constant, make_tcp_increasing,
-                     make_tcp_linear, make_twisted_tcp_linear,
+from .models import (StorageParams, TcpConstantParams, make_storage,
+                     make_tcp_constant, make_tcp_linear, make_twisted_tcp_linear,
                      tcp_constant_invariant_moments, tcp_constant_spectrum)
 from .rng import RandomStream
 

@@ -75,13 +75,12 @@ class Model:
     the inverse of that integral in ``t``, and ``jump(x, rng)`` a sample
     of the post-jump state.  All callables must accept numpy arrays.
 
+    ``h_form(x)`` and ``ktilde_sampler(x, stream)`` are the closed forms
+    the embedded-chain module runs: the mean residual normaliser and a
+    sample of the length-biased inter-jump time.
+
     ``weight`` is the gradient weight used by weighted energies (constantly
     one unless the model says otherwise).
-
-    ``h_form`` and ``ktilde_sampler``, when provided, are closed-form
-    shortcuts used by the embedded-chain module (the mean residual
-    normaliser and the length-biased inter-jump sampler); generic
-    quadrature fallbacks are used otherwise.
 
     A chart image carries its ``base`` model and the ``chart`` (``psi`` to
     chart coordinates, ``psi_inv`` back).  Library functions run the
@@ -98,9 +97,9 @@ class Model:
     cum_rate: Callable
     inv_cum_rate: Callable
     jump: Callable
+    h_form: Callable
+    ktilde_sampler: Callable
     weight: Callable = _ones_like
-    h_form: Optional[Callable] = None
-    ktilde_sampler: Optional[Callable] = None
     base: Optional[Model] = None
     chart: Optional[Any] = None
 

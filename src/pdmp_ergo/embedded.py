@@ -20,7 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Model, _dot, ensemble_states_at
-from .models import quad
 from .rng import RandomStream
 
 __all__ = [
@@ -251,48 +250,12 @@ def kernel_K_sample(model: Model, x, stream: RandomStream):
 
 
 def kernel_Ktilde_sample(model: Model, x, stream: RandomStream):
-    """Sample the position at a length-biased inter-jump time.
-
-    The time has density exp(-cumulative rate) over its normaliser; shipped
-    models carry closed-form samplers, otherwise an inverse-transform table
-    is built per distinct state (adequate for small batches).
-    """
+    """Sample the position at a length-biased inter-jump time, whose density
+    is exp(-cumulative rate) over its normaliser, by the model's closed-form
+    ``ktilde_sampler``."""
     x = np.asarray(x, dtype=float)
     model.require_in_domain(x, "state")
-    if model.ktilde_sampler is not None:
-        t = model.ktilde_sampler(x, stream)
-    else:
-        t = _generic_ktilde_times(model, x, stream)
-    return model.flow(x, t)
-
-
-def _survival_table(model: Model, x: float, tol: float = 1e-10):
-    """Grid and cdf of the density ~ exp(-cum_rate(x, t)), built adaptively."""
-    horizon = 1.0
-    while True:
-        if model.cum_rate(x, horizon) > -np.log(tol):
-            break
-        horizon *= 2.0
-        if horizon > 1e12:
-            raise ValueError("survival mass does not decay; normaliser diverges")
-    grid = np.linspace(0.0, horizon, 4097)
-    dens = np.exp(-np.asarray(model.cum_rate(np.full(grid.shape, x), grid), dtype=float))
-    cdf = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (dens[1:] + dens[:-1]) / 2.0)])
-    total = cdf[-1]
-    if not np.isfinite(total) or total <= 0:
-        raise ValueError("survival normaliser is not finite")
-    return grid, cdf / total
-
-
-def _generic_ktilde_times(model: Model, x, stream: RandomStream):
-    flat = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    u = stream.uniform(flat.size)
-    out = np.empty_like(flat)
-    for xv in np.unique(flat):
-        sel = flat == xv
-        grid, cdf = _survival_table(model, float(xv))
-        out[sel] = np.interp(u[sel], cdf, grid)
-    return out.reshape(np.shape(x)) if np.shape(x) else float(out[0])
+    return model.flow(x, model.ktilde_sampler(x, stream))
 
 
 def chain_step(model: Model, x, stream: RandomStream):
@@ -348,29 +311,8 @@ def chain_invariant_sample(
 def h_function(model: Model, x):
     """Mean residual normaliser at each point of ``x``: the integral of
     exp(-cum_rate(x, u)) over u > 0, a float for a scalar ``x``."""
-    if model.h_form is not None:
-        out = np.asarray(model.h_form(x), dtype=float)
-    else:
-        xs = np.asarray(x, dtype=float)
-        out = np.reshape([_mean_residual(model, xv) for xv in xs.ravel().tolist()], xs.shape)
+    out = np.asarray(model.h_form(x), dtype=float)
     return float(out) if np.shape(x) == () else out
-
-
-def _mean_residual(model: Model, x: float) -> float:
-    def integrand(u):
-        return np.exp(-np.asarray(model.cum_rate(x, u), dtype=float))
-
-    horizon = 1.0
-    val = 0.0
-    lo = 0.0
-    for _ in range(64):
-        val += quad(integrand, lo, horizon, 1e-10)
-        tail_rate = float(model.rate(model.flow(x, horizon)))
-        tail_surv = float(integrand(horizon))
-        if tail_rate > 0 and tail_surv / tail_rate < 1e-8 * max(val, 1e-300):
-            return val
-        lo, horizon = horizon, 2.0 * horizon
-    raise ValueError("mean residual integral does not converge (normaliser diverges)")
 
 
 def reweight_and_push(model: Model, xs, stream: RandomStream):

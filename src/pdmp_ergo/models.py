@@ -2,11 +2,11 @@
 
 Four families are shipped: the additive-growth multiplicative-collapse
 process with constant jump rate, the same with linearly growing rate, the
-same with a general nondecreasing rate (numeric rate integral), and the
-storage process (exponential decay between upward jumps).  A fifth model
-is the linear-rate process conjugated by the concave chart that flattens
-its gradient weight, psi(x) = 2 artanh sqrt(1 - exp(-x)), which is
-inverted in closed form too.
+same with an affine rate lambda_star + slope*x, and the storage process
+(exponential decay between upward jumps).  A fifth model is the
+linear-rate process conjugated by the concave chart that flattens its
+gradient weight, psi(x) = 2 artanh sqrt(1 - exp(-x)), which is inverted
+in closed form too.
 
 Every factory returns a :class:`~pdmp_ergo.core.Model` whose callables
 accept arrays, so the vectorised engine can drive them directly.
@@ -14,9 +14,7 @@ accept arrays, so the vectorised engine can drive them directly.
 
 from __future__ import annotations
 
-import heapq
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,12 +24,10 @@ from .core import Model
 
 __all__ = [
     "TcpConstantParams",
-    "TcpIncreasingParams",
     "StorageParams",
     "exponential_increment",
     "make_tcp_constant",
     "make_tcp_linear",
-    "make_tcp_increasing",
     "make_affine_rate_tcp",
     "make_storage",
     "make_twisted_tcp_linear",
@@ -96,41 +92,6 @@ class TcpConstantParams:
     @property
     def deterministic(self) -> bool:
         return self.delta is not None
-
-
-@dataclass(frozen=True)
-class TcpIncreasingParams:
-    """Nondecreasing rate with positive floor and log-Lipschitz constant.
-
-    ``kappa`` is supplied by the caller and spot-checked on a grid rather
-    than derived symbolically.
-    """
-
-    rate_fn: Callable
-    lambda_star: float
-    kappa: float
-    delta: float
-    check_high: float = 50.0
-
-    def __post_init__(self):
-        if not self.lambda_star > 0:
-            raise ValueError("lambda_star must be positive")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("delta must lie in [0,1)")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        lam0 = float(self.rate_fn(0.0))
-        if abs(lam0 - self.lambda_star) > 1e-9 * max(1.0, self.lambda_star):
-            raise ValueError("rate_fn(0) must equal lambda_star")
-        grid = np.linspace(0.0, self.check_high, 2001)
-        lam = np.asarray(self.rate_fn(grid), dtype=float)
-        if np.any(lam <= 0):
-            raise ValueError("rate must stay positive")
-        if np.any(np.diff(lam) < -1e-12 * np.maximum(1.0, lam[:-1])):
-            raise ValueError("rate must be nondecreasing")
-        dlog = np.abs(np.diff(np.log(lam))) / np.diff(grid)
-        if np.any(dlog > self.kappa * (1 + 1e-6) + 1e-9):
-            raise ValueError("log-rate slope exceeds kappa on the check grid")
 
 
 @dataclass(frozen=True)
@@ -233,7 +194,7 @@ def tcp_constant_spectrum(params: TcpConstantParams, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# linear-rate model
+# linear- and affine-rate models
 # ---------------------------------------------------------------------------
 
 def linear_weight(x):
@@ -350,6 +311,17 @@ def make_tcp_linear(delta: float) -> Model:
                 **_affine_rate_forms(lambda x: np.asarray(x, dtype=float), 1.0))
 
 
+def make_affine_rate_tcp(lambda_star: float, slope: float, delta: float) -> Model:
+    """Nondecreasing-rate model with rate(x) = lambda_star + slope*x and
+    the closed forms of :func:`_affine_rate_forms` throughout.  Its
+    log-Lipschitz constant is slope/lambda_star, reached at x = 0.
+    """
+    if not (lambda_star > 0 and slope > 0):
+        raise ValueError("lambda_star and slope must be positive")
+    return _tcp("tcp_increasing", delta, **_affine_rate_forms(
+        lambda x: lambda_star + slope * np.asarray(x, dtype=float), slope))
+
+
 # ---------------------------------------------------------------------------
 # storage model
 # ---------------------------------------------------------------------------
@@ -370,202 +342,6 @@ def make_storage(params: StorageParams) -> Model:
         jump=jump,
         **_constant_rate_forms(lam),
     )
-
-
-# ---------------------------------------------------------------------------
-# the one Gauss-Legendre rule: rate tables and adaptive quadrature
-# ---------------------------------------------------------------------------
-
-# the 16-point Gauss-Legendre rule on [-1, 1] as literal tables; a test pins
-# them to the bit against a reference implementation of the rule
-_GL_X = np.array([
-    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
-    -0.6178762444026438, -0.4580167776572274, -0.2816035507792589, -0.09501250983763745,
-    0.09501250983763745, 0.2816035507792589, 0.4580167776572274, 0.6178762444026438,
-    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499])
-_GL_W = np.array([
-    0.027152459411756466, 0.06225352393864763, 0.09515851168249231, 0.12462897125553363,
-    0.14959598881657638, 0.16915651939500212, 0.18260341504492328, 0.1894506104550681,
-    0.1894506104550681, 0.18260341504492328, 0.16915651939500212, 0.14959598881657638,
-    0.12462897125553363, 0.09515851168249231, 0.06225352393864763, 0.027152459411756466])
-
-_QUAD_PANELS = 1000  # bisection budget of quad
-
-
-def quad(fn, a: float, b: float, epsrel: float) -> float:
-    """Integral of a scalar fn over [a, b]; ``b`` may be ``inf``.
-
-    Adaptive bisection of 16-point panels, largest error first, where a
-    panel's error is |I(a,b) - I(a,m) - I(m,b)|; b = inf maps to (0, 1] by
-    x = a + (1-t)/t, which keeps far points exact in t.  Raises ValueError
-    when ``_QUAD_PANELS`` bisections leave the summed error above ``epsrel``
-    times the integral.  An end singularity |x - a|^-p needs about
-    log2(1/epsrel)/(1-p) bisections (p up to about 0.96 at epsrel 1e-11),
-    and there the estimate undercounts the error by about 1/(2^(1-p) - 1).
-    """
-    a, b = float(a), float(b)
-    if b == np.inf:
-        f, a0 = fn, a
-        fn = lambda t: f(a0 + (1.0 - t) / t) / t / t  # noqa: E731
-        a, b = 0.0, 1.0
-    pairs = tuple(zip(_GL_X.tolist(), _GL_W.tolist()))
-
-    def rule(lo, hi):
-        h, c = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        return h * sum(w * float(fn(c + h * x)) for x, w in pairs)
-
-    def split(lo, hi, whole):
-        m = 0.5 * (lo + hi)
-        left, right = rule(lo, m), rule(m, hi)
-        return -abs(whole - left - right), lo, m, hi, left, right
-
-    heap = [split(a, b, rule(a, b))]
-    for _ in range(_QUAD_PANELS):
-        total = sum(p[4] + p[5] for p in heap)
-        if -sum(p[0] for p in heap) <= epsrel * abs(total):
-            return total
-        _, lo, m, hi, left, right = heapq.heappop(heap)
-        heapq.heappush(heap, split(lo, m, left))
-        heapq.heappush(heap, split(m, hi, right))
-    raise ValueError(f"integral did not converge to rtol {epsrel:g} in {_QUAD_PANELS} bisections")
-
-
-# ---------------------------------------------------------------------------
-# nondecreasing-rate model: quadrature table along the unit-speed flow
-# ---------------------------------------------------------------------------
-
-class UnitFlowCumRate:
-    """Cumulative rate integral along x -> x + t, panel Gauss-Legendre.
-
-    ``value(y)`` integrates the rate from 0 to y with the fixed 16-point
-    rule on each panel, exactly to quadrature precision (no interpolation
-    of the integral itself); ``inverse(v)`` solves value(y) = v by a
-    bracketed Newton iteration and raises unless every residual is within
-    ``_RTOL * max(1, v)``.  Both are pure functions of each point, whatever
-    batch it comes in.  The table extends itself by doubling when queried
-    beyond its current range.
-    """
-
-    _MAX_NEWTON = 60
-    _RTOL = 1e-12
-
-    def __init__(self, rate_fn: Callable, y_high: float = 512.0, step: float = 0.25,
-                 y_cap: float = 1e7):
-        self._rate = rate_fn
-        self._step = float(step)
-        self._y_cap = float(y_cap)
-        self._lock = threading.Lock()
-        self._gx = 0.5 * (_GL_X + 1.0)
-        self._gw = 0.5 * _GL_W
-        # (edges, cumulative integral): swapped whole under the lock, read once
-        self._table = (np.array([0.0]), np.array([0.0]))
-        self._extend_to(y_high)
-
-    def _panel_integrals(self, lo, hi):
-        width = hi - lo
-        nodes = lo[:, None] + width[:, None] * self._gx[None, :]
-        vals = np.asarray(self._rate(nodes), dtype=float)
-        # einsum, not a BLAS product, so a panel's value never depends on the
-        # other rows of the batch
-        return width * np.einsum("ij,j->i", vals, self._gw)
-
-    def _extend_to(self, y: float):
-        with self._lock:
-            edges, cum = self._table
-            top = edges[-1]
-            if y <= top:
-                return
-            n_new = int(np.ceil((y - top) / self._step)) + 8
-            # each panel starts at the stored end of the one before, so the
-            # cumulative sum telescopes whatever the rounding of the step
-            hi = top + self._step * np.arange(1, n_new + 1)
-            inc = self._panel_integrals(np.concatenate([[top], hi[:-1]]), hi)
-            self._table = (np.concatenate([edges, hi]),
-                           np.concatenate([cum, cum[-1] + np.cumsum(inc)]))
-
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y < 0):
-            raise ValueError("negative position in cumulative rate")
-        ymax = float(y.max()) if y.size else 0.0
-        if ymax > self._table[0][-1]:
-            self._extend_to(2.0 * ymax)
-        edges, cum = self._table
-        flat = np.atleast_1d(y).ravel()
-        k = np.searchsorted(edges, flat, side="right") - 1
-        k = np.clip(k, 0, edges.size - 2)
-        lo = edges[k]
-        part = self._panel_integrals(lo, flat)
-        out = cum[k] + part
-        return out.reshape(y.shape) if y.shape else float(out[0])
-
-    def inverse(self, v):
-        v = np.asarray(v, dtype=float)
-        if np.any(v < 0):
-            raise ValueError("negative level in inverse cumulative rate")
-        vmax = float(v.max()) if v.size else 0.0
-        edges, cum = self._table
-        while cum[-1] < vmax:
-            if edges[-1] > self._y_cap:
-                raise ValueError(
-                    "cumulative rate failed to reach the requested level within "
-                    f"the search horizon {self._y_cap:g}; the rate decays too fast")
-            self._extend_to(2.0 * edges[-1])
-            edges, cum = self._table
-        flat = np.atleast_1d(v).ravel()
-        k = np.clip(np.searchsorted(cum, flat, side="right") - 1, 0, cum.size - 2)
-        frac = (flat - cum[k]) / np.maximum(cum[k + 1] - cum[k], 1e-300)
-        y = edges[k] + frac * (edges[k + 1] - edges[k])
-        # a converged point takes no further step, so each root depends only
-        # on its own level, never on the batch it came in
-        todo = np.arange(flat.size)
-        resid = self.value(y) - flat
-        for _ in range(self._MAX_NEWTON):
-            open_ = ~(np.abs(resid) <= self._RTOL * np.maximum(1.0, flat[todo]))
-            todo, resid = todo[open_], resid[open_]
-            if not todo.size:
-                break
-            yt = y[todo]
-            yt = np.clip(yt - resid / np.maximum(np.asarray(self._rate(yt), dtype=float), 1e-300),
-                         edges[k[todo]], edges[k[todo] + 1])
-            y[todo] = yt
-            resid = self.value(yt) - flat[todo]
-        else:
-            raise ValueError(
-                f"inverse cumulative rate did not converge in {self._MAX_NEWTON} Newton steps")
-        return y.reshape(v.shape) if v.shape else float(y[0])
-
-
-def make_tcp_increasing(params: TcpIncreasingParams) -> Model:
-    rate_fn = params.rate_fn
-    table = UnitFlowCumRate(rate_fn)
-
-    def cum_rate(x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return table.value(x + t) - table.value(x)
-
-    def inv_cum_rate(x, u):
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return table.inverse(table.value(x) + u) - x
-
-    return _tcp("tcp_increasing", params.delta,
-                rate=lambda x: np.asarray(rate_fn(np.asarray(x, dtype=float)), dtype=float),
-                cum_rate=cum_rate, inv_cum_rate=inv_cum_rate)
-
-
-def make_affine_rate_tcp(lambda_star: float, slope: float, delta: float) -> Model:
-    """Nondecreasing-rate model with rate(x) = lambda_star + slope*x.
-
-    Same process family as :func:`make_tcp_increasing` but with the closed
-    forms of :func:`_affine_rate_forms` throughout.  Its log-Lipschitz
-    constant is slope/lambda_star, reached at x = 0.
-    """
-    if not (lambda_star > 0 and slope > 0):
-        raise ValueError("lambda_star and slope must be positive")
-    return _tcp("tcp_increasing", delta, **_affine_rate_forms(
-        lambda x: lambda_star + slope * np.asarray(x, dtype=float), slope))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +399,7 @@ def conjugate(base: Model, chart) -> Model:
     psi, psi_inv = chart.psi, chart.psi_inv
 
     def on_base(fn):
-        return None if fn is None else (lambda z, *rest: fn(psi_inv(z), *rest))
+        return lambda z, *rest: fn(psi_inv(z), *rest)
 
     return Model(
         name=f"{chart.name}_{base.name}",

@@ -9,11 +9,9 @@ from pdmp_ergo import core
 from pdmp_ergo.core import (DomainError, gradient_semigroup_estimate,
                             nested_grid_statistics, sample_jump_time,
                             semigroup_estimate, simulate_ensemble, simulate_path)
-from pdmp_ergo.models import (StorageParams, TcpConstantParams, TcpIncreasingParams,
-                              exponential_increment,
+from pdmp_ergo.models import (StorageParams, TcpConstantParams, exponential_increment,
                               make_affine_rate_tcp, make_storage, make_tcp_constant,
-                              make_tcp_increasing, make_tcp_linear,
-                              make_twisted_tcp_linear)
+                              make_tcp_linear, make_twisted_tcp_linear)
 from pdmp_ergo.rng import RandomStream
 
 # No engine call in this module needs more than 43 rounds of the event loop.
@@ -42,9 +40,7 @@ def shipped_models():
         make_tcp_constant(TcpConstantParams(rate=1.0, delta=0.5)),
         make_tcp_linear(0.5),
         make_storage(StorageParams(1.0, exponential_increment(1.0))),
-        make_tcp_increasing(TcpIncreasingParams(
-            rate_fn=lambda x: 1.0 + np.asarray(x, dtype=float),
-            lambda_star=1.0, kappa=1.0, delta=0.5)),
+        make_affine_rate_tcp(1.0, 1.0, 0.5),
         make_twisted_tcp_linear(0.5),
     ]
 

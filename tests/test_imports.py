@@ -14,7 +14,6 @@ README = SRC.parent / "README.md"
 # import in every fresh process
 STAGES = """
 import sys
-import numpy as np
 
 def check(stage):
     loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -26,11 +25,6 @@ check("import pdmp_ergo.cli")
 from pdmp_ergo import models
 models.psi_chart()
 check("models.psi_chart()")
-model = models.make_tcp_increasing(models.TcpIncreasingParams(
-    rate_fn=lambda x: 1.0 + np.log1p(np.asarray(x, dtype=float)),
-    lambda_star=1.0, kappa=1.0, delta=0.5))
-model.inv_cum_rate(np.ones(4), model.cum_rate(np.ones(4), 2.0))
-check("make_tcp_increasing with a table")
 with open({cfg!r}, "w") as fh:
     fh.write("model = twisted_tcp_linear\\ndelta = 0.5\\nseed = 0\\n")
 assert pdmp_ergo.cli.main(["certify", "--config", {cfg!r}, "--out", {out!r}]) == 0

@@ -1,23 +1,21 @@
 import dataclasses
 import math
-import sys
-import threading
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from pdmp_ergo import models
+from pdmp_ergo import certificates, models
 from pdmp_ergo.core import ensemble_states_at, simulate_ensemble
 from pdmp_ergo.embedded import chain_sample_matrix, reweight_and_push
 from pdmp_ergo.experiments import _native
 from pdmp_ergo.models import (PsiChart, StorageParams, TcpConstantParams,
-                              TcpIncreasingParams, UnitFlowCumRate,
                               exponential_increment, linear_weight,
                               make_affine_rate_tcp, make_storage,
-                              make_tcp_constant, make_tcp_increasing,
-                              make_tcp_linear, make_twisted_tcp_linear,
-                              psi_chart, tcp_constant_invariant_moments,
+                              make_tcp_constant, make_tcp_linear,
+                              make_twisted_tcp_linear, psi_chart,
+                              tcp_constant_invariant_moments,
                               tcp_constant_spectrum)
 from pdmp_ergo.rng import RandomStream
 
@@ -39,16 +37,6 @@ def test_random_factor_needs_small_second_moment():
     with pytest.raises(ValueError):
         TcpConstantParams(rate=1.0, factor_sampler=lambda u: u,
                           factor_moment=lambda k: 1.0)
-
-
-def test_increasing_params_check_rate_floor_and_kappa():
-    with pytest.raises(ValueError):
-        TcpIncreasingParams(rate_fn=lambda x: 2.0 + 0 * np.asarray(x, dtype=float),
-                            lambda_star=1.0, kappa=1.0, delta=0.5)
-    with pytest.raises(ValueError):
-        # log slope is 1 at the origin, well above the claimed kappa
-        TcpIncreasingParams(rate_fn=lambda x: 1.0 + np.asarray(x, dtype=float),
-                            lambda_star=1.0, kappa=0.05, delta=0.5)
 
 
 @pytest.mark.parametrize("factory,args", [
@@ -184,96 +172,37 @@ def test_storage_flow_and_bound():
     assert float(model.flow(1.0, np.log(2.0))) == pytest.approx(0.5, rel=1e-15)
 
 
-def test_increasing_numeric_matches_closed_form():
-    model = make_tcp_increasing(TcpIncreasingParams(
-        rate_fn=lambda x: 1.0 + np.asarray(x, dtype=float),
-        lambda_star=1.0, kappa=1.0, delta=0.5))
-    ts = np.linspace(0.0, 30.0, 301)
-    exact = ts + 0.5 * ts * ts
-    got = model.cum_rate(np.zeros_like(ts), ts)
-    assert np.max(np.abs(got - exact)) <= 1e-10
-    us = np.linspace(0.0, 60.0, 121)
-    got_inv = model.inv_cum_rate(np.zeros_like(us), us)
-    exact_inv = np.sqrt(1.0 + 2.0 * us) - 1.0
-    assert np.max(np.abs(got_inv - exact_inv)) <= 1e-10
-
-
-def test_affine_shortcut_agrees_with_numeric_path():
-    fast = make_affine_rate_tcp(1.0, 1.0, 0.5)
-    slow = make_tcp_increasing(TcpIncreasingParams(
-        rate_fn=lambda x: 1.0 + np.asarray(x, dtype=float),
-        lambda_star=1.0, kappa=1.0, delta=0.5))
+@pytest.mark.parametrize("lambda_star,slope", [(1.0, 1.0), (2.0, 1.0), (0.5, 3.0)])
+def test_affine_closed_forms_match_exact_oracles(lambda_star, slope):
+    # with c = lambda_star + slope*x the rate integral is c t + slope t^2/2,
+    # its inverse (sqrt(c^2 + 2 slope u) - c)/slope and h the integral of
+    # exp(-c s - slope s^2/2) over s > 0
+    model = make_affine_rate_tcp(lambda_star, slope, 0.5)
     x = np.linspace(0.0, 20.0, 77)
     t = np.linspace(0.1, 5.0, 77)
-    assert np.allclose(fast.cum_rate(x, t), slow.cum_rate(x, t), atol=1e-10)
+    c = lambda_star + slope * x
+    np.testing.assert_allclose(model.cum_rate(x, t), c * t + 0.5 * slope * t * t,
+                               rtol=1e-13, atol=0)
     u = np.linspace(0.0, 30.0, 77)
-    assert np.allclose(fast.inv_cum_rate(x, u), slow.inv_cum_rate(x, u), atol=1e-10)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        exact = [float(((Decimal(ci) ** 2 + 2 * Decimal(slope) * Decimal(ui)).sqrt()
+                        - Decimal(ci)) / Decimal(slope))
+                 for ci, ui in zip(c.tolist(), u.tolist())]
+    np.testing.assert_allclose(model.inv_cum_rate(x, u), exact, rtol=1e-12, atol=0)
+    for xv in (0.0, 0.5, 2.0, 10.0):
+        cv = lambda_star + slope * xv
+        oracle, _ = integrate.quad(lambda s: math.exp(-cv * s - 0.5 * slope * s * s),
+                                   0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert float(model.h_form(xv)) == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
-def test_rate_table_horizon_guard():
-    # a rate that dies off keeps the cumulative integral bounded
-    table = UnitFlowCumRate(lambda y: np.exp(-np.asarray(y, dtype=float)),
-                            y_high=8.0, y_cap=1e4)
-    with pytest.raises(ValueError):
-        table.inverse(5.0)
-
-
-@pytest.mark.parametrize("step", [0.1, 0.3, 1 / 3])
-def test_rate_table_panels_meet_for_any_step(step):
-    # panels that do not meet exactly leave gaps that add up along the table
-    table = UnitFlowCumRate(lambda y: 1.0 + np.asarray(y, dtype=float), y_high=200.0,
-                            step=step)
-    y = np.linspace(0.0, 200.0, 20001)
-    exact = y + 0.5 * y * y
-    assert np.max(np.abs(table.value(y) - exact) / np.maximum(1.0, exact)) <= 4e-15
-
-
-def test_rate_table_concurrent_extension_matches_serial():
-    # four threads query ever further past the end of a fresh table, so they
-    # extend it while the others read it; repeated over fresh tables
-    def rate(y):
-        return 1.0 + np.sqrt(np.asarray(y, dtype=float))
-
-    queries = [np.linspace(0.0, top, 257) for top in np.geomspace(16.0, 4000.0, 24)]
-    serial = UnitFlowCumRate(rate, y_high=8.0)
-    ref = [(serial.value(y), serial.inverse(y)) for y in queries]
-
-    def worker(table, out, errors):
-        try:
-            out.extend((table.value(y), table.inverse(y)) for y in queries)
-        except Exception as exc:  # noqa: BLE001 - reported by the main thread
-            errors.append(exc)
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            table = UnitFlowCumRate(rate, y_high=8.0)
-            outs, errors = [[] for _ in range(4)], []
-            threads = [threading.Thread(target=worker, args=(table, out, errors))
-                       for out in outs]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-            assert not any(th.is_alive() for th in threads)
-            assert errors == []
-            for out in outs:
-                for (value, inverse), (ref_value, ref_inverse) in zip(out, ref, strict=True):
-                    np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=0)
-                    np.testing.assert_allclose(inverse, ref_inverse, rtol=1e-12, atol=1e-12)
-    finally:
-        sys.setswitchinterval(old_interval)
-
-
-def test_rate_table_and_chart_values_never_depend_on_the_batch():
-    # the ensemble engine hands the table and the chart the live paths of
-    # one chunk: a point must get the same value alone, in a slice or in the
-    # whole batch
-    table = UnitFlowCumRate(lambda y: 1.0 + np.asarray(y, dtype=float))
+def test_chart_values_never_depend_on_the_batch():
+    # the ensemble engine hands the chart the live paths of one chunk: a
+    # point must get the same value alone, in a slice or in the whole batch
     chart = psi_chart()
     y = np.random.default_rng(5).uniform(0.0, 20.0, 1001)
-    for f in (table.value, table.inverse, chart.psi, chart.psi_inv):
+    for f in (chart.psi, chart.psi_inv):
         whole = f(y)
         sliced = np.concatenate([f(y[i:i + 7]) for i in range(0, y.size, 7)])
         assert np.array_equal(sliced, whole)
@@ -282,13 +211,14 @@ def test_rate_table_and_chart_values_never_depend_on_the_batch():
 
 
 # ---------------------------------------------------------------------------
-# the Gauss-Legendre rule and the adaptive quadrature built on it
+# the Gauss-Legendre rule of the certificates and the adaptive quadrature
+# built on it
 # ---------------------------------------------------------------------------
 
 def test_rule_is_the_scipy_16_point_rule_to_the_bit():
     nodes, weights = special.roots_legendre(16)
-    assert np.array_equal(models._GL_X, nodes)
-    assert np.array_equal(models._GL_W, weights)
+    assert np.array_equal(certificates._GL_X, nodes)
+    assert np.array_equal(certificates._GL_W, weights)
 
 
 @pytest.mark.parametrize("fn, a, b", [
@@ -302,14 +232,14 @@ def test_rule_is_the_scipy_16_point_rule_to_the_bit():
 ], ids=["exp", "half_gauss", "gauss_window", "exp_tail", "cauchy", "steep", "sqrt"])
 def test_quad_matches_scipy(fn, a, b):
     ref, _ = integrate.quad(fn, a, b, epsabs=0.0, epsrel=1e-13, limit=500)
-    assert models.quad(fn, a, b, 1e-12) == pytest.approx(ref, rel=1e-11, abs=0)
+    assert certificates.quad(fn, a, b, 1e-12) == pytest.approx(ref, rel=1e-11, abs=0)
 
 
 @pytest.mark.parametrize("p", [0.5, 0.9])
 def test_quad_on_an_integrable_end_singularity(p):
     # the end panel's error shrinks by 2^-(1-p) a bisection, and the halving
     # estimate undercounts the remaining error by about 1/(2^(1-p) - 1)
-    got = models.quad(lambda x: x ** -p, 0.0, 1.0, 1e-11)
+    got = certificates.quad(lambda x: x ** -p, 0.0, 1.0, 1e-11)
     assert abs(got * (1.0 - p) - 1.0) <= 1.5e-11 / (2.0 ** (1.0 - p) - 1.0)
 
 
@@ -321,13 +251,13 @@ def test_quad_on_an_integrable_end_singularity(p):
 def test_quad_on_a_far_tail(fn, a, exact):
     # the tail map x = a + (1-t)/t keeps t exact where the mass sits; under
     # x = a + t/(1-t) the mass would sit within 1e-9 of t = 1
-    assert models.quad(fn, a, np.inf, 1e-11) == pytest.approx(exact, rel=1e-11, abs=0)
+    assert certificates.quad(fn, a, np.inf, 1e-11) == pytest.approx(exact, rel=1e-11, abs=0)
 
 
 def test_quad_raises_on_a_divergent_integral():
     # scipy's quad only warns here and returns a number
     with pytest.raises(ValueError, match="did not converge"):
-        models.quad(lambda x: 1.0 / x, 0.0, 1.0, 1e-11)
+        certificates.quad(lambda x: 1.0 / x, 0.0, 1.0, 1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -423,13 +353,6 @@ def test_chart_inverse_converges_on_dense_sweep():
     x = np.concatenate([np.geomspace(1e-300, 1e-2, 400), np.linspace(0.0, 80.0, 20001),
                         chart.psi_inv(near_switch), np.geomspace(80.0, 1e6, 200)])
     assert np.all(np.abs(chart.psi_inv(chart.psi(x)) - x) <= 1e-12 * np.maximum(1.0, x))
-
-
-def test_iterative_inverses_raise_when_not_converged(monkeypatch):
-    monkeypatch.setattr(UnitFlowCumRate, "_MAX_NEWTON", 1)
-    table = UnitFlowCumRate(lambda y: 1.0 + np.asarray(y, dtype=float) ** 2)
-    with pytest.raises(ValueError, match="did not converge"):
-        table.inverse(np.linspace(0.1, 50.0, 101))
 
 
 def test_twisted_native_route_matches_chart_coordinates():
