@@ -8,15 +8,30 @@ standard exponential variable, so models with closed-form inverses are
 simulated exactly (no discretisation anywhere).
 
 Two engines are provided: ``simulate_path`` produces one trajectory with
-its full event log, ``simulate_ensemble`` advances many replications at
-once using counter-indexed marks so that replication ``k`` consumes the
-same draw sequence regardless of batching, and coupled ensembles can
-share those draws (common random numbers).  It works through the ensemble
-in cache-sized chunks of 65,536 paths keyed by their global replication
-index, so neither the chunking nor the ``workers`` threads that run the
-chunks change a value.  Within a chunk the paths still alive are kept as a
-compacted set (indices, states, remaining times) that shrinks each round by
-integer gathers, which cost a fraction of a boolean-mask selection.
+its full event log, and ``_advance`` moves one chunk of an ensemble across
+a whole grid of segments using counter-indexed marks, so that replication
+``k`` consumes the same draw sequence regardless of batching, and coupled
+ensembles can share those draws (common random numbers).  Each path
+carries its state and a pending jump time, drawn once per jump: at a grid
+time a path whose jump lies beyond the segment only flows, with no mark
+and no accumulated-rate evaluation.  The paths that do jump inside a
+segment are kept as a compacted set that shrinks each round by integer
+gathers, which cost a fraction of a boolean-mask selection.
+
+The initial clock of replication ``k`` is mark (k, 0, slot 0) of the node
+of segment 0; the i-th jump inside segment j uses kernel slots
+(k, i, 1..63) of node j, and the clock drawn after it is (k, i + 1, slot 0)
+of node j.  ``simulate_ensemble`` is the one-segment case; the ensemble
+goes through the engine in chunks of 65,536 paths keyed by their global
+replication index, so neither the chunking nor the ``workers`` threads
+that run the chunks change a value.  ``nested_grid_statistics`` runs one
+chunk of whole atoms per task across the grid, segment j on node
+``stream.substream(0, j)``, and reduces every test function to per-atom
+statistics at each grid time while the chunk is still in cache.
+``ensemble_states_at`` (the ``simulate`` time average) still restarts
+``simulate_ensemble`` at each sampling time with a fresh clock: both
+routes give the law of the process at each time, and moving the time
+average onto pending clocks would re-draw every ``simulate`` output.
 """
 
 from __future__ import annotations
@@ -49,8 +64,6 @@ MAX_EVENTS_DEFAULT = 10_000_000
 # paths advanced together by the ensemble engine: a chunk's working set
 # stays in a core's cache
 _CHUNK = 65_536
-# paths advanced at once by one atom block of nested_grid_statistics
-_ATOM_BLOCK = 2_000_000
 
 
 class DomainError(ValueError):
@@ -198,9 +211,9 @@ def simulate_ensemble(
     node replays identical per-replication draws, which is exactly the
     coupling used by the gradient and transport-distance estimators.
 
-    The ensemble is advanced in contiguous chunks of ``_CHUNK`` paths, each
-    keyed by the global replication index, so the chunking never changes a
-    value; the chunks run on ``workers`` threads.
+    The ensemble is advanced as one segment in contiguous chunks of
+    ``_CHUNK`` paths, each keyed by the global replication index, so the
+    chunking never changes a value; the chunks run on ``workers`` threads.
     """
     x0b, tb = np.broadcast_arrays(np.asarray(x0, dtype=float),
                                   np.asarray(t_end, dtype=float))
@@ -211,34 +224,65 @@ def simulate_ensemble(
     if np.any(t < 0):
         raise ValueError("t_end must be nonnegative")
     model.require_in_domain(x, "start state")
-    marks = EventMarks(stream)
-    run_tasks([lambda lo=lo: _advance(model, x[lo:lo + _CHUNK], t[lo:lo + _CHUNK], lo,
-                                      marks, max_events)
-               for lo in range(0, x.size, _CHUNK)], workers)
+    marks = [EventMarks(stream)]
+
+    def chunk(lo):
+        # a path with a zero horizon draws nothing and keeps its state
+        xs, ts = x[lo:lo + _CHUNK], t[lo:lo + _CHUNK]
+        live = np.flatnonzero(ts > 0)
+        moved = xs[live]
+        _advance(model, moved, live + lo, [ts[live]], marks, max_events)
+        xs[live] = moved
+
+    run_tasks([lambda lo=lo: chunk(lo) for lo in range(0, x.size, _CHUNK)], workers)
     return x
 
 
-def _advance(model: Model, x, t, lo: int, marks: EventMarks, max_events: int):
-    """Advance the slice of an ensemble whose first replication is ``lo``
-    to its horizons ``t`` (only read), writing end states into ``x``.  The
-    alive paths are compacted arrays that shrink by integer gathers."""
-    alive = np.flatnonzero(t > 0)
-    reps, xa, ta = alive + lo, x[alive], t[alive]
+def _advance(model: Model, x, reps, steps, marks, max_events: int, visit=None):
+    """Advance a chunk of paths with replication indices ``reps`` across
+    consecutive segments, writing the states into ``x`` in place.
+
+    Segment j lasts ``steps[j]``, a nonnegative scalar or one positive
+    length per path, and draws from ``marks[j]``; ``visit(j, x)``, if
+    given, sees the states at its end.  Each path carries a pending jump
+    time ``r``, drawn once per jump; the initial one comes from node 0
+    whichever segment moves first.
+    """
+    r = None
+    for j, (seg, m) in enumerate(zip(steps, marks)):
+        if np.any(seg > 0):
+            if r is None:
+                r = model.inv_cum_rate(x, marks[0].exponential(reps, 0, slot=0))
+            _segment(model, x, r, reps, seg, m, max_events)
+        if visit is not None:
+            visit(j, x)
+
+
+def _segment(model: Model, x, r, reps, seg, marks: EventMarks, max_events: int):
+    """Carry states ``x`` and pending jump times ``r`` across a segment of
+    length ``seg``, in place.  Every path flows across it; the paths whose
+    jump falls inside it are redone as compacted arrays that shrink each
+    round by integer gathers."""
+    alive = np.flatnonzero(r < seg)
+    ids, xa, ra = reps[alive], x[alive], r[alive]
+    ta = np.broadcast_to(seg, x.shape)[alive]
+    x[:] = model.flow(x, seg)
+    r -= seg
     event = 0
     while alive.size:
-        if event >= max_events:
+        # as in a one-segment run, at most max_events - 1 jumps a segment
+        if event + 1 >= max_events:
             raise ExplosionError(f"more than {max_events} events in ensemble")
-        e = marks.exponential(reps, event, slot=0)
-        done = model.cum_rate(xa, ta) <= e
+        xa = model.jump(model.flow(xa, ra), MarkView(marks, ids, event))
+        ta -= ra
+        event += 1
+        ra = model.inv_cum_rate(xa, marks.exponential(ids, event, slot=0))
+        done = ra >= ta
         fin = np.flatnonzero(done)
         x[alive[fin]] = model.flow(xa[fin], ta[fin])
+        r[alive[fin]] = ra[fin] - ta[fin]
         keep = np.flatnonzero(~done)
-        alive, reps, xa, ta, e = (a[keep] for a in (alive, reps, xa, ta, e))
-        if alive.size:
-            tau = model.inv_cum_rate(xa, e)
-            xa = model.jump(model.flow(xa, tau), MarkView(marks, reps, event))
-            ta -= tau
-        event += 1
+        alive, ids, xa, ra, ta = (a[keep] for a in (alive, ids, xa, ra, ta))
 
 
 def ensemble_states_at(
@@ -249,7 +293,10 @@ def ensemble_states_at(
 
     Returns an array of shape (n_paths, n_times).  The grid must be
     nondecreasing; the ensemble is advanced segment by segment, so the
-    samples along a row belong to one path.
+    samples along a row belong to one path.  Each segment is its own
+    ``simulate_ensemble`` call on ``stream.substream(j)``, with a fresh
+    jump clock at its start (valid by the Markov property), not the
+    pending clocks of ``nested_grid_statistics``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -273,26 +320,43 @@ def run_tasks(tasks, workers: int):
         return [f.result() for f in futures]
 
 
+def _row_stats(v):
+    """Per-row mean and ddof-1 variance of a (rows, n) array from one row
+    sum, by ``np.var``'s own steps, so both equal ``v.mean(axis=1)`` and
+    ``v.var(axis=1, ddof=1)`` to the bit."""
+    n = v.shape[1]
+    mean = np.add.reduce(v, axis=1, keepdims=True)
+    mean /= n
+    d = np.subtract(v, mean)
+    np.square(d, out=d)
+    return mean[:, 0], np.add.reduce(d, axis=1) / (n - 1)
+
+
 def nested_grid_statistics(model: Model, fs, atoms, times, inner_n: int,
                            stream: RandomStream, bumps=None, workers: int = 1):
     """Per-atom inner means and ddof-1 variances of every f along a time grid.
 
-    Each atom is repeated ``inner_n`` times and that ensemble is advanced
-    once across the nondecreasing grid, segment j of atom block b on
-    ``stream.substream(b, j)``; every f is evaluated on the shared states.
+    Each atom is repeated ``inner_n`` times, replication a * inner_n + i
+    for inner path i of atom a, and the paths are advanced once across the
+    nondecreasing grid with pending jump clocks, segment j on node
+    ``stream.substream(0, j)``.  One task takes a run of whole atoms of at
+    most ``_CHUNK`` paths, builds its own repeated starts and, at each grid
+    time, reduces every f on its states to per-atom statistics while the
+    chunk is still in cache; the tasks run on ``workers`` threads without
+    changing any value.
     With ``bumps`` the statistics are those of the central difference
     (f(up) - f(down)) / (2 bump) between twins started at atom +/- bump,
-    which replay the same node on every segment (common random numbers);
-    past time zero that needs a synchronously coupled model (a jump clock
-    independent of the state), and any other model raises ValueError.
-    Blocks run one after another; each ensemble's chunks run on ``workers``
-    threads without changing any value.
+    which share every mark (common random numbers); past time zero that
+    needs a synchronously coupled model (a jump clock independent of the
+    state), and any other model raises ValueError.
     Returns (means, variances), each of shape (len(fs), len(times), atoms).
     """
     if inner_n < 2:
         raise ValueError("need at least two inner replications")
     atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
     steps = np.diff(np.asarray(times, dtype=float), prepend=0.0)
+    if np.any(steps < 0):
+        raise ValueError("times must be nondecreasing and nonnegative")
     # twins share every mark, so they jump together exactly when the
     # accumulated rate along the flow does not depend on the start state
     probe = np.clip([0.5, 1.0, 2.0, 4.0], model.domain_low, model.domain_high)
@@ -301,22 +365,27 @@ def nested_grid_statistics(model: Model, fs, atoms, times, inner_n: int,
                          "jump apart, so the central difference has no honest error")
     means = np.empty((len(fs), steps.size, atoms.size))
     ivars = np.empty_like(means)
+    marks = [EventMarks(stream.substream(0, j)) for j in range(steps.size)]
     twins = 1 if bumps is None else 2
-    per_block = max(1, _ATOM_BLOCK // (twins * int(inner_n)))
+    per_task = max(1, _CHUNK // (twins * int(inner_n)))
 
-    for b, lo in enumerate(range(0, atoms.size, per_block)):
-        hi = min(atoms.size, lo + per_block)
-        xs = [np.repeat(atoms[lo:hi], inner_n)] if bumps is None else \
-            [np.repeat(atoms[lo:hi] + s * bumps[lo:hi], inner_n) for s in (1.0, -1.0)]
-        for j, step in enumerate(steps):
-            node = stream.substream(b, j)
-            xs = [simulate_ensemble(model, x, step, node, workers=workers) for x in xs]
+    def task(lo, hi):
+        starts = atoms[lo:hi] if bumps is None else \
+            np.concatenate([atoms[lo:hi] + s * bumps[lo:hi] for s in (1.0, -1.0)])
+        model.require_in_domain(starts, "start state")
+        x = np.repeat(starts, inner_n)
+        reps = np.tile(np.arange(lo * inner_n, hi * inner_n), twins)
+
+        def visit(j, x):
             for i, f in enumerate(fs):
-                vals = [np.asarray(f(x), dtype=float).reshape(hi - lo, inner_n) for x in xs]
-                if bumps is not None:
-                    vals = [(vals[0] - vals[1]) / (2.0 * bumps[lo:hi, None])]
-                means[i, j, lo:hi] = vals[0].mean(axis=1)
-                ivars[i, j, lo:hi] = vals[0].var(axis=1, ddof=1)
+                v = np.asarray(f(x), dtype=float).reshape(twins, hi - lo, inner_n)
+                v = v[0] if bumps is None else (v[0] - v[1]) / (2.0 * bumps[lo:hi, None])
+                means[i, j, lo:hi], ivars[i, j, lo:hi] = _row_stats(v)
+
+        _advance(model, x, reps, steps, marks, MAX_EVENTS_DEFAULT, visit)
+
+    run_tasks([lambda lo=lo: task(lo, min(atoms.size, lo + per_task))
+               for lo in range(0, atoms.size, per_task)], workers)
     return means, ivars
 
 

@@ -174,8 +174,8 @@ def test_cli_worker_count_invariance(tmp_path):
 
 @pytest.mark.parametrize("model", ["tcp_linear", "tcp_increasing"])
 def test_cli_nested_worker_invariance_over_atom_blocks(tmp_path, monkeypatch, model):
-    # 300 atoms x 16 inner paths in blocks of 100 atoms: three blocks
-    monkeypatch.setattr(core, "_ATOM_BLOCK", 1600)
+    # 300 atoms x 16 inner paths in chunks of 100 atoms: three chunks
+    monkeypatch.setattr(core, "_CHUNK", 1600)
     body = (f"model = {model}\nseed = 5\nn_outer = 300\nn_inner = 16\n"
             "chain_length = 3000\nburn_in = 200\ntime_grid = 0,0.5,1,2\n")
     cfg = write_config(tmp_path, "run.cfg", body)
@@ -190,7 +190,8 @@ def test_cli_nested_worker_invariance_over_atom_blocks(tmp_path, monkeypatch, mo
 
 @pytest.mark.parametrize("model", ["tcp_linear", "tcp_increasing"])
 def test_cli_nested_worker_invariance_inside_one_block(tmp_path, monkeypatch, model):
-    # 300 atoms x 16 inner paths fit one atom block, advanced in five chunks
+    # 300 atoms x 16 inner paths fit one chunk, or five chunks of 62 atoms
+    # at 1000 paths a chunk
     body = (f"model = {model}\nseed = 5\nn_outer = 300\nn_inner = 16\n"
             "chain_length = 3000\nburn_in = 200\ntime_grid = 0,0.5,1,2\n")
     cfg = write_config(tmp_path, "run.cfg", body)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from scipy import integrate, stats
 
 from pdmp_ergo import core
-from pdmp_ergo.core import (DomainError, gradient_semigroup_estimate,
+from pdmp_ergo.core import (DomainError, ensemble_states_at, gradient_semigroup_estimate,
                             nested_grid_statistics, sample_jump_time,
                             semigroup_estimate, simulate_ensemble, simulate_path)
 from pdmp_ergo.models import (StorageParams, TcpConstantParams, exponential_increment,
@@ -23,8 +24,9 @@ ROUNDS = 1000
 @pytest.fixture(autouse=True)
 def bounded_rounds(monkeypatch):
     advance = core._advance
-    monkeypatch.setattr(core, "_advance", lambda model, x, t, lo, marks, max_events: advance(
-        model, x, t, lo, marks, min(max_events, ROUNDS)))
+    monkeypatch.setattr(core, "_advance",
+                        lambda model, x, reps, steps, marks, max_events, visit=None: advance(
+                            model, x, reps, steps, marks, min(max_events, ROUNDS), visit))
 
 
 class FixedExponential:
@@ -175,6 +177,8 @@ def test_ensemble_broadcasts_scalar_start_over_horizons():
         model,
         rate=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         cum_rate=lambda x, t: np.zeros_like(np.asarray(x, dtype=float) + t),
+        # the engine reads the jump time from the inverse: never
+        inv_cum_rate=lambda x, u: np.full_like(np.asarray(x, dtype=float) + u, np.inf),
     )
     horizons = np.array([0.0, 1.0, 2.0])
     ends = simulate_ensemble(silent, 1.0, horizons, RandomStream(1))
@@ -319,6 +323,15 @@ def test_nested_grid_means_match_independent_runs():
             assert abs(means[i, j].mean() - vals.mean()) <= 3 * se
 
 
+def test_nested_grid_refuses_a_decreasing_or_negative_grid():
+    model = make_tcp_linear(0.5)
+    for times in ([1.0, 0.5], [-0.5, 1.0]):
+        with pytest.raises(ValueError, match="nondecreasing and nonnegative"):
+            nested_grid_statistics(model, [np.sin], [1.0], times, 4, RandomStream(0))
+    with pytest.raises(ValueError, match="nondecreasing and nonnegative"):
+        semigroup_estimate(model, np.sin, 1.0, -1.0, 4, RandomStream(0))
+
+
 def test_nested_grid_twins_replay_one_node():
     # storage twins jump together, so the difference quotient is exact
     model = make_storage(StorageParams(1.0, exponential_increment(1.0)))
@@ -331,9 +344,9 @@ def test_nested_grid_twins_replay_one_node():
 
 
 def test_nested_grid_threads_match_serial(monkeypatch):
-    # eight atom blocks on more threads than cores write disjoint slices
+    # eight atom chunks on more threads than cores write disjoint slices
     # of shared arrays; a lost or misplaced write changes the result
-    monkeypatch.setattr(core, "_ATOM_BLOCK", 80)
+    monkeypatch.setattr(core, "_CHUNK", 80)
     model = make_tcp_linear(0.5)
     atoms = np.linspace(0.1, 3.0, 80)
     args = (model, [lambda x: x, np.sin], atoms, [0.5, 1.0], 8, RandomStream(4))
@@ -346,6 +359,145 @@ def test_nested_grid_threads_match_serial(monkeypatch):
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
+
+
+# sha256 of the end states of the ensemble below, computed before the
+# engine carried pending jump clocks across segments; a one-segment run
+# must still draw exactly these marks and do exactly this arithmetic
+GOLDEN_ENDS = {
+    "tcp_constant": "24f06087c9fadd3dddd07d5275545bff2b3c743e0d535a80b454eac3d46e204a",
+    "tcp_linear": "7ce3c261ef4ccba7490dc20a665ad93bd2969dacf64fcd0eb94a8523b04f8203",
+    "storage": "6429bf4855da86a79ba410f06c4d44ed0eeb273d7a69bda72b57518be4b21daf",
+    "tcp_increasing": "aa74deeb6309c5403a241829d8e2559c693d50d515a480a43f0b47c52a391060",
+    "twisted_tcp_linear": "0a714836b1d2d35740336912c413ed55e2044d1840597fbf82592982f5da593a",
+}
+
+
+@pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+def test_ensemble_end_states_match_their_golden_digest(model):
+    rng = np.random.default_rng(2024)
+    x0 = rng.uniform(0.1, 4.0, 3000)
+    horizons = rng.uniform(0.0, 5.0, 3000)
+    horizons[::7] = 0.0
+    ends = simulate_ensemble(model, x0, horizons, RandomStream(19).substream(3))
+    assert hashlib.sha256(ends.tobytes()).hexdigest() == GOLDEN_ENDS[model.name]
+
+
+def _grid_states(model, atoms, times, inner, stream):
+    """Statistics of f = x along the grid and the states the core saw."""
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return x
+
+    means, ivars = nested_grid_statistics(model, [record], atoms, times, inner, stream)
+    return means[0], ivars[0], seen
+
+
+@pytest.mark.parametrize("model", shipped_models(), ids=lambda m: m.name)
+def test_grid_segment_zero_is_the_one_segment_ensemble(model):
+    # one chunk of 40 atoms x 16 paths; segment 0 draws on node (0, 0)
+    atoms = np.linspace(0.2, 3.0, 40)
+    stream = RandomStream(23)
+    ends = simulate_ensemble(model, np.repeat(atoms, 16), 0.5, stream.substream(0, 0))
+    vals = ends.reshape(atoms.size, 16)
+    for times in ([0.5], [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]):
+        means, ivars, seen = _grid_states(model, atoms, times, 16, stream)
+        assert len(seen) == len(times)
+        assert np.array_equal(seen[0], ends)
+        assert np.array_equal(means[0], vals.mean(axis=1))
+        assert np.array_equal(ivars[0], vals.var(axis=1, ddof=1))
+
+
+@pytest.mark.parametrize("bumped", [False, True])
+def test_nested_grid_values_never_depend_on_chunks_or_workers(monkeypatch, bumped):
+    # twins need a synchronously coupled model; without them the clocks
+    # depend on the state, so pending clocks carry real information
+    model = make_storage(StorageParams(1.0, exponential_increment(1.0))) if bumped \
+        else make_tcp_linear(0.5)
+    atoms = np.linspace(0.1, 3.0, 300)
+    bumps = core.default_bump(atoms) if bumped else None
+    args = (model, [lambda x: x, np.sin], atoms, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0], 8,
+            RandomStream(31))
+    whole = nested_grid_statistics(*args, bumps=bumps)
+    for chunk in (7, 1000, core._CHUNK):
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        for workers in (1, 2):
+            got = nested_grid_statistics(*args, bumps=bumps, workers=workers)
+            for a, b in zip(whole, got):
+                np.testing.assert_array_equal(a, b)
+
+
+def _assert_within(means, ivars, inner, exact, k):
+    se = np.sqrt(ivars / inner)
+    z = (means - exact) / se
+    assert np.all(np.abs(z) <= k), z
+
+
+GRID = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+
+
+def test_grid_tcp_constant_mean_follows_its_exact_law():
+    # d/dt E[X] = 1 - lam (1 - delta) E[X]
+    lam, delta = 1.5, 0.4
+    model = make_tcp_constant(TcpConstantParams(rate=lam, delta=delta))
+    atoms, inner = np.array([0.0, 0.7, 3.0]), 4000
+    means, ivars, _ = _grid_states(model, atoms, GRID, inner, RandomStream(41))
+    m = 1.0 / (lam * (1.0 - delta))
+    exact = m + (atoms - m) * np.exp(-lam * (1.0 - delta) * GRID)[:, None]
+    _assert_within(means, ivars, inner, exact, 4.0)
+
+
+def test_grid_storage_mean_follows_its_exact_law():
+    # d/dt E[X] = -E[X] + lam E[U]
+    lam, scale = 2.0, 0.7
+    model = make_storage(StorageParams(lam, exponential_increment(scale)))
+    atoms, inner = np.array([0.0, 1.4, 4.0]), 4000
+    means, ivars, _ = _grid_states(model, atoms, GRID, inner, RandomStream(42))
+    exact = lam * scale + (atoms - lam * scale) * np.exp(-GRID)[:, None]
+    _assert_within(means, ivars, inner, exact, 4.0)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_grid_tcp_linear_agrees_with_the_restart_route(seed):
+    # the restart route draws a fresh clock at every grid time; by the
+    # Markov property both give the law of the process at each time
+    model = make_tcp_linear(0.5)
+    atoms, inner = np.linspace(0.1, 3.0, 50), 400
+    means, ivars, _ = _grid_states(model, atoms, GRID, inner, RandomStream(seed).substream(1))
+    restart = ensemble_states_at(model, np.repeat(atoms, inner), GRID,
+                                 RandomStream(seed).substream(2))
+    n = atoms.size * inner
+    grid_se = np.sqrt(ivars.sum(axis=1) / inner) / atoms.size
+    restart_se = restart.std(axis=0, ddof=1) / np.sqrt(n)
+    z = (means.mean(axis=1) - restart.mean(axis=0)) / np.hypot(grid_se, restart_se)
+    assert np.all(np.abs(z) <= 3.0), z
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (9, 2), (5, 3), (327, 200), (3, 1000), (17, 7)])
+def test_row_stats_are_mean_and_var_to_the_bit(shape):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    for v in (rng.normal(size=shape), 1e6 + rng.exponential(size=shape),
+              rng.standard_cauchy(size=shape)):
+        mean, var = core._row_stats(v)
+        assert np.array_equal(mean, v.mean(axis=1))
+        assert np.array_equal(var, v.var(axis=1, ddof=1))
+
+
+@pytest.mark.parametrize("inner", [2, 64])
+def test_row_stats_of_bump_quotients_are_mean_and_var_to_the_bit(inner):
+    # difference quotients of storage twins, as nested_grid_statistics forms them
+    model = make_storage(StorageParams(1.0, exponential_increment(1.0)))
+    atoms = np.linspace(0.2, 3.0, 25)
+    bumps = core.default_bump(atoms)
+    node = RandomStream(43).substream(0, 0)
+    up, down = (simulate_ensemble(model, np.repeat(atoms + s * bumps, inner), 1.0, node)
+                for s in (1.0, -1.0))
+    v = (np.sin(up) - np.sin(down)).reshape(atoms.size, inner) / (2.0 * bumps[:, None])
+    mean, var = core._row_stats(v)
+    assert np.array_equal(mean, v.mean(axis=1))
+    assert np.array_equal(var, v.var(axis=1, ddof=1))
 
 
 def test_gradient_affine_exact_at_time_zero():

@@ -14,7 +14,7 @@ from pdmp_ergo.embedded import (_CSV_BLOCK, EmpiricalMeasure, _csv_rows,
                                 kernel_K_sample, kernel_Ktilde_sample, reconstruct_mu,
                                 reweight_and_push, time_average_states)
 from pdmp_ergo.estimators import column_ratio
-from pdmp_ergo.models import (TcpConstantParams, make_tcp_constant,
+from pdmp_ergo.models import (TcpConstantParams, linear_ktilde_times, make_tcp_constant,
                               make_tcp_linear)
 from pdmp_ergo.rng import RandomStream
 
@@ -183,12 +183,45 @@ def test_length_biased_kernel_linear_origin_is_half_normal():
     assert stat < 1.6276 / np.sqrt(200_000)
 
 
+def _acceptance(x):
+    """Acceptance probability of the hybrid proposal of linear_ktilde_times."""
+    h = np.sqrt(np.pi / 2.0) * special.erfcx(x / np.sqrt(2.0))
+    return np.where(x < 1.0, np.sqrt(2.0 / np.pi) * h, x * h)
+
+
+class CountingStream:
+    """Hands draws through and counts the proposals (one normal each)."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.proposals = 0
+
+    def normal(self, n):
+        self.proposals += n
+        return self.stream.normal(n)
+
+    def exponential(self, n):
+        return self.stream.exponential(n)
+
+    def uniform(self, n):
+        return self.stream.uniform(n)
+
+
 def test_length_biased_rejection_acceptance_rate():
     # analytic acceptance of the hybrid proposal stays above one half
     x = np.linspace(0.0, 50.0, 501)
-    h = np.sqrt(np.pi / 2.0) * special.erfcx(x / np.sqrt(2.0))
-    acc = np.where(x < 1.0, np.sqrt(2.0 / np.pi) * h, x * h)
-    assert np.all(acc >= 0.5 - 1e-12)
+    assert np.all(_acceptance(x) >= 0.5 - 1e-12)
+    # and the sampler accepts at that rate: n samples took n / acc
+    # proposals in expectation, a sum of n geometric counts
+    n = 20_000
+    for i, x0 in enumerate([0.0, 0.5, 0.99, 1.0, 2.0, 10.0, 50.0]):
+        stream = CountingStream(RandomStream(61).substream(i))
+        linear_ktilde_times(np.full(n, x0), stream)
+        acc, p = n / stream.proposals, _acceptance(x0)
+        se = p * np.sqrt((1.0 - p) / n)
+        assert acc >= 0.5
+        # at x = 0 every proposal is accepted; allow the formula's rounding
+        assert abs(acc - p) <= 4.0 * se + 1e-12, (x0, acc, p, se)
 
 
 # ---------------------------------------------------------------------------
